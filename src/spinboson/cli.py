@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, perturbation, resonance, spectral
-from .fockmodel import BasisIndex, ModelParams, build_control, build_rabi
+from .fockmodel import BasisIndex, ModelParams, build_control
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,7 +206,9 @@ def design_transfer(
     Each edge is driven by a square wave between 0 and delta whose
     half-period is pi over the corresponding gap of the mean Hamiltonian
     H0 + (delta/2)*B; the segment count per edge maximizes the fidelity to
-    the edge's far eigenstate within the period budget.
+    the edge's far eigenstate within the period budget. Counts are 0 or
+    odd: a trailing zero-amplitude half-period would leave the fidelity
+    unchanged, so only roundoff could prefer it.
 
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
@@ -247,8 +249,12 @@ def design_transfer(
         best_state = psi
         cur = psi
         for seg in range(2 * max_periods):
-            amplitude = delta if seg % 2 == 0 else 0.0
-            cur = prop.step(cur, half, amplitude)
+            driven = seg % 2 == 0
+            cur = prop.step(cur, half, delta if driven else 0.0)
+            if not driven:
+                # free evolution cannot change the fidelity to an H0 eigenstate,
+                # so only counts ending on a driven half-period are ranked
+                continue
             fid = float(abs(np.vdot(far, cur)) ** 2)
             if fid > best_fid:
                 best_fid, best_count, best_state = fid, seg + 1, cur

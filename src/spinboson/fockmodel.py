@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ __all__ = [
     "BasisIndex",
     "LabeledOperator",
     "basis_order",
+    "rabi_bands",
+    "degenerate_basis",
     "build_rabi",
     "build_jc",
     "build_control",
@@ -173,10 +175,24 @@ def _empty(params: ModelParams, name: str) -> LabeledOperator:
     return LabeledOperator(name, np.zeros((dim, dim)), basis_order(params.n_fock))
 
 
-def _set_sym(m: np.ndarray, i: int, j: int, value: float) -> None:
+def _set_sym(m: np.ndarray, i, j, value) -> None:
     # assign both triangles the identical float, never symmetrize after the fact
     m[i, j] = value
     m[j, i] = value
+
+
+def rabi_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and couplings of the truncated Rabi Hamiltonian.
+
+    Returns the diagonal omega*(n + 1/2) + s*Omega/2 in linear-index order
+    and the couplings g*sqrt((n+1)/2), n = 0..N-2, which join (n, s) to
+    (n+1, -s) for either spin.
+    """
+    k = np.arange(params.dim)
+    n, s = k // 2, 1 - 2 * (k % 2)
+    diag = params.omega * (n + 0.5) + s * params.Omega / 2
+    couplings = params.g * np.sqrt(np.arange(1, params.n_fock) / 2)
+    return diag, couplings
 
 
 def build_rabi(params: ModelParams) -> LabeledOperator:
@@ -186,16 +202,12 @@ def build_rabi(params: ModelParams) -> LabeledOperator:
     Coupling between (n, s) and (n+1, -s): g*sqrt((n+1)/2).
     """
     op = _empty(params, "H_Rabi")
-    m = op.entries
-    for n in range(params.n_fock):
-        for s in (1, -1):
-            k = BasisIndex(n, s).k
-            m[k, k] = params.omega * (n + 0.5) + s * params.Omega / 2
-    for n in range(params.n_fock - 1):
-        for s in (1, -1):
-            i = BasisIndex(n, s).k
-            j = BasisIndex(n + 1, -s).k
-            _set_sym(m, i, j, params.g * math.sqrt((n + 1) / 2))
+    diag, couplings = rabi_bands(params)
+    np.fill_diagonal(op.entries, diag)
+    up = 2 * np.arange(params.n_fock - 1)  # linear index of (n, +1)
+    # (n, +1) <-> (n+1, -1) joins k and k+3; (n, -1) <-> (n+1, +1) joins k+1 and k+2
+    _set_sym(op.entries, up, up + 3, couplings)
+    _set_sym(op.entries, up + 1, up + 2, couplings)
     return op
 
 
@@ -206,16 +218,31 @@ def build_jc(params: ModelParams) -> LabeledOperator:
     carry exactly zero.
     """
     op = _empty(params, "H_JC")
-    m = op.entries
-    for n in range(params.n_fock):
-        for s in (1, -1):
-            k = BasisIndex(n, s).k
-            m[k, k] = params.omega * (n + 0.5) + s * params.Omega / 2
-    for n in range(params.n_fock - 1):
-        i = BasisIndex(n, 1).k
-        j = BasisIndex(n + 1, -1).k
-        _set_sym(m, i, j, params.g * math.sqrt((n + 1) / 2))
+    diag, couplings = rabi_bands(params)
+    np.fill_diagonal(op.entries, diag)
+    up = 2 * np.arange(params.n_fock - 1)  # linear index of (n, +1)
+    _set_sym(op.entries, up, up + 3, couplings)
     return op
+
+
+def degenerate_basis(j: int, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors seeding the split branches at omega = Omega, g -> 0.
+
+    Returns (Phi_plus, Phi_minus) = ((Phi_{j,1} +- Phi_{j+1,-1}) / sqrt(2)).
+    """
+    if j < 0 or j + 1 >= n_fock:
+        raise ValueError(f"j={j} out of range for truncation {n_fock}")
+    dim = 2 * n_fock
+    plus = np.zeros(dim)
+    minus = np.zeros(dim)
+    up = BasisIndex(j, 1).k
+    dn = BasisIndex(j + 1, -1).k
+    inv = 1 / math.sqrt(2)
+    plus[up] = inv
+    plus[dn] = inv
+    minus[up] = inv
+    minus[dn] = -inv
+    return plus, minus
 
 
 def build_control(params: ModelParams) -> LabeledOperator:

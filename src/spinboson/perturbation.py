@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmodel import BasisIndex, ModelParams, build_control
+from .fockmodel import BasisIndex, ModelParams, build_control, degenerate_basis
 from .spectral import BranchFamily, track_branches
 
 __all__ = [
@@ -186,26 +186,6 @@ def coupling_slope_fit(
         return float(branch.vectors[:, bj, gi] @ (b @ branch.vectors[:, bk, gi]))
 
     return (elem(-2 * h) - 8 * elem(-h) + 8 * elem(h) - elem(2 * h)) / (12 * h)
-
-
-def degenerate_basis(j: int, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors seeding the split branches at omega = Omega, g -> 0.
-
-    Returns (Phi_plus, Phi_minus) = ((Phi_{j,1} +- Phi_{j+1,-1}) / sqrt(2)).
-    """
-    if j < 0 or j + 1 >= n_fock:
-        raise ValueError(f"j={j} out of range for truncation {n_fock}")
-    dim = 2 * n_fock
-    plus = np.zeros(dim)
-    minus = np.zeros(dim)
-    up = BasisIndex(j, 1).k
-    dn = BasisIndex(j + 1, -1).k
-    inv = 1 / math.sqrt(2)
-    plus[up] = inv
-    plus[dn] = inv
-    minus[up] = inv
-    minus[dn] = -inv
-    return plus, minus
 
 
 def degenerate_slopes(j: int) -> tuple[float, float]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

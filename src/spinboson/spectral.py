@@ -1,10 +1,14 @@
 """Diagonalization, labelling and branch continuation over the coupling g.
 
-Eigenpairs at a single g are labelled by maximal overlap with the product
-basis. Families of eigenpairs over a g-grid are tracked by continuity:
-consecutive eigenvectors are matched through an assignment problem on the
-overlap matrix, with automatic grid bisection near avoided crossings and
-a positive-overlap phase convention along each branch.
+Eigenpairs of a generic operator at one point are labelled by maximal
+overlap with the product basis. Branches of H_Rabi over a g-grid use its
+parity symmetry instead: H_Rabi splits into two tridiagonal (Jacobi)
+chains (0,P), (1,-P), (2,P), ... for P = +-1, solved separately and
+embedded back into the 2N basis. An unreduced Jacobi matrix has a simple
+spectrum, so for g != 0 levels of one chain never cross and a branch's
+label is its rank within its chain, seeded by the sorted g = 0 diagonal.
+Each branch keeps a positive-overlap phase convention from one grid point
+to the next.
 """
 
 from __future__ import annotations
@@ -13,12 +17,20 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .fockmodel import BasisIndex, LabeledOperator, ModelParams, basis_order, build_rabi
+from .fockmodel import (
+    BasisIndex,
+    LabeledOperator,
+    ModelParams,
+    basis_order,
+    build_rabi,
+    degenerate_basis,
+    rabi_bands,
+)
 
 __all__ = [
     "Spectrum",
@@ -35,6 +47,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
+# relative gap below which two g = 0 energies of one chain count as tied
+TIE_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -71,9 +85,10 @@ class Spectrum:
         raise KeyError(f"no level labelled {label}")
 
 
-def _check_eigenpairs(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+def _check_eigenpairs(hv: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+    """Residual and orthonormality bounds, given the product hv = H @ v."""
     scale = max(1.0, float(np.max(np.abs(w))))
-    residual = np.linalg.norm(h @ v - v * w, axis=0)
+    residual = np.linalg.norm(hv - v * w, axis=0)
     if np.max(residual) > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {np.max(residual):.3e} exceeds {RESIDUAL_TOL * scale:.3e}"
@@ -126,7 +141,7 @@ def diagonalize(
         w, v = np.linalg.eigh(op.entries)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge on {op.name}") from exc
-    _check_eigenpairs(op.entries, w, v)
+    _check_eigenpairs(op.entries @ v, w, v)
     at_zero = params is not None and params.g == 0
     labels, ambiguous = _attach_labels(v, op.basis, at_zero)
     if trust_cutoff is None:
@@ -187,70 +202,108 @@ class BranchFamily:
         )
 
 
-def _degenerate_seed(n_fock: int) -> tuple[list[BasisIndex], np.ndarray, np.ndarray]:
-    """Symmetric/antisymmetric seed basis for omega = Omega at g = 0.
+def _chains(n_fock: int) -> list[np.ndarray]:
+    """Linear indices of the parity chains (0,P), (1,-P), (2,P), ... for P = +1, -1."""
+    n = np.arange(n_fock)
+    return [2 * n + (n + first) % 2 for first in (0, 1)]
 
-    The branch labelled (j, +1) starts from (Phi_{j,1} + Phi_{j+1,-1})/sqrt(2)
-    and (j+1, -1) from (Phi_{j,1} - Phi_{j+1,-1})/sqrt(2); (0, -1) stays bare.
-    """
-    dim = 2 * n_fock
-    labels = basis_order(n_fock)
-    vecs = np.zeros((dim, dim))
-    vecs[BasisIndex(0, -1).k, BasisIndex(0, -1).k] = 1.0
-    inv = 1 / math.sqrt(2)
-    for j in range(n_fock - 1):
-        up = BasisIndex(j, 1).k
-        dn = BasisIndex(j + 1, -1).k
-        vecs[up, up] = inv
-        vecs[dn, up] = inv
-        vecs[up, dn] = inv
-        vecs[dn, dn] = -inv
-    # top branch (N-1, +1) has no partner inside the truncation; keep it bare
-    top = BasisIndex(n_fock - 1, 1).k
-    vecs[top, top] = 1.0
-    return labels, vecs, np.zeros(dim)
+
+def _tied(a: float, b: float) -> bool:
+    return abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b))
 
 
 def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np.ndarray]:
-    dim = params.dim
+    """Branch labels, seed vectors (columns in label order) and energies at g = 0.
+
+    Each tied pair (j,+1), (j+1,-1) (omega = Omega) is seeded by the split
+    combinations of `degenerate_basis`: (j,+1) takes the symmetric one.
+    """
     labels = basis_order(params.n_fock)
-    energies = np.array(
-        [params.omega * (lab.n + 0.5) + lab.s * params.Omega / 2 for lab in labels]
-    )
-    if params.omega == params.Omega:
-        labels, vecs, _ = _degenerate_seed(params.n_fock)
-        return labels, vecs, energies
-    return labels, np.eye(dim), energies
+    energies, _ = rabi_bands(params)
+    vecs = np.eye(params.dim)
+    for j in range(params.n_fock - 1):
+        up, dn = BasisIndex(j, 1).k, BasisIndex(j + 1, -1).k
+        if _tied(energies[up], energies[dn]):
+            vecs[:, up], vecs[:, dn] = degenerate_basis(j, params.n_fock)
+    return labels, vecs, energies
 
 
-def _advance(
-    params: ModelParams,
+def _second_order_shift(d: np.ndarray, c: np.ndarray, i: int) -> float:
+    """Coefficient of g^2 in the energy of chain site i, from its chain neighbours."""
+    shift = 0.0
+    if i > 0:
+        shift += c[i - 1] ** 2 / (d[i] - d[i - 1])
+    if i + 1 < len(d):
+        shift += c[i] ** 2 / (d[i] - d[i + 1])
+    return shift
+
+
+def _rank_order(d: np.ndarray, c: np.ndarray, rows: np.ndarray, g_sign: int) -> np.ndarray:
+    """Chain sites in ascending order of their branch energy for small g of one sign.
+
+    `d` is the chain's g = 0 diagonal, `c` its couplings at g = 1 and `rows`
+    the sites' linear indices (for naming labels). Tied sites come in pairs.
+    Adjacent ones (omega = Omega) split at first order by +-c: the site with
+    the lower photon number, seeded symmetric, goes above for g > 0 and
+    below for g < 0. Others are ordered by their second-order shift, which
+    does not depend on the sign of g.
+    """
+    order = np.argsort(d, kind="stable")
+    for r in range(len(order) - 1):
+        a, b = sorted(order[r : r + 2])
+        if not _tied(d[a], d[b]):
+            continue
+        if b - a == 1:
+            upper = a if g_sign > 0 else b
+        else:
+            sa, sb = _second_order_shift(d, c, a), _second_order_shift(d, c, b)
+            if _tied(sa, sb):
+                raise ValueError(
+                    f"levels {BasisIndex.from_linear(int(rows[a]))} and "
+                    f"{BasisIndex.from_linear(int(rows[b]))} tie at g = 0 and at "
+                    "second order; their branch order is undetermined"
+                )
+            upper = a if sa > sb else b
+        order[r : r + 2] = (b, a) if upper == a else (a, b)
+    return order
+
+
+def _chain_product(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    tv = d[:, None] * v
+    tv[:-1] += e[:, None] * v[1:]
+    tv[1:] += e[:, None] * v[:-1]
+    return tv
+
+
+def _continue_chain(
+    d: np.ndarray,
+    c: np.ndarray,
     g0: float,
     v0: np.ndarray,
     g1: float,
     floor: float,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Continue all branches from g0 to g1, bisecting when overlap drops."""
-    h = build_rabi(params.with_g(g1))
-    w, v = np.linalg.eigh(h.entries)
-    _check_eigenpairs(h.entries, w, v)
-    overlap = v0.T @ v
-    rows, cols = linear_sum_assignment(-np.abs(overlap))
-    matched = np.abs(overlap[rows, cols])
-    worst = float(np.min(matched))
+    """Solve one chain at g1 and align each eigenvector's sign with v0 at g0.
+
+    Columns of v0 are in rank order. While a rank's overlap between the two
+    points is below `floor`, the step is halved, at most `depth` times.
+    """
+    e = g1 * c
+    w, v = eigh_tridiagonal(d, e)
+    _check_eigenpairs(_chain_product(d, e, v), w, v)
+    overlap = np.einsum("ij,ij->j", v0, v)
+    worst = float(np.min(np.abs(overlap)))
     if worst >= floor:
-        signs = np.sign(overlap[rows, cols])
-        signs[signs == 0] = 1.0
-        return w[cols], v[:, cols] * signs, worst
+        return w, v * np.where(overlap < 0, -1.0, 1.0), worst
     if depth <= 0:
         raise GridRefinementError(
             f"overlap {worst:.3f} below floor {floor} between g={g0} and g={g1} "
             "after maximal bisection; refine the grid near this interval"
         )
     gm = 0.5 * (g0 + g1)
-    _, vm, o1 = _advance(params, g0, v0, gm, floor, depth - 1)
-    w1, v1, o2 = _advance(params, gm, vm, g1, floor, depth - 1)
+    _, vm, o1 = _continue_chain(d, c, g0, v0, gm, floor, depth - 1)
+    w1, v1, o2 = _continue_chain(d, c, gm, vm, g1, floor, depth - 1)
     return w1, v1, min(o1, o2)
 
 
@@ -260,7 +313,11 @@ def track_branches(
     overlap_floor: float = 0.8,
     max_refine: int = 6,
 ) -> BranchFamily:
-    """Track every eigenpair of H_Rabi over the grid, seeded at g = 0."""
+    """Track every eigenpair of H_Rabi over the grid, seeded at g = 0.
+
+    Each parity chain is solved on its own; the branch of rank r in a chain
+    carries the label of the chain's r-th g = 0 level.
+    """
     grid = np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("g_grid must be a nonempty 1-d sequence")
@@ -272,25 +329,32 @@ def track_branches(
     i0 = int(zero_idx[0])
 
     labels, v_seed, e_seed = _seed_at_zero(params_base)
+    _, c = rabi_bands(params_base.with_g(1.0))
     dim = params_base.dim
     energies = np.empty((dim, len(grid)))
-    vectors = np.empty((dim, dim, len(grid)))
+    # filled one grid point at a time, so the grid axis is outermost in memory
+    vectors = np.moveaxis(np.zeros((len(grid), dim, dim)), 0, -1)
     energies[:, i0] = e_seed
     vectors[:, :, i0] = v_seed
     floor_seen = 1.0
 
-    for direction in (1, -1):
-        v_prev = v_seed
-        g_prev = 0.0
-        rng = range(i0 + 1, len(grid)) if direction == 1 else range(i0 - 1, -1, -1)
-        for gi in rng:
-            w, v, worst = _advance(
-                params_base, g_prev, v_prev, float(grid[gi]), overlap_floor, max_refine
-            )
-            energies[:, gi] = w
-            vectors[:, :, gi] = v
-            floor_seen = min(floor_seen, worst)
-            v_prev, g_prev = v, float(grid[gi])
+    for rows in _chains(params_base.n_fock):
+        d = e_seed[rows]
+        for g_sign, steps in ((1, range(i0 + 1, len(grid))), (-1, range(i0 - 1, -1, -1))):
+            if not steps:
+                continue
+            # branch columns (label linear indices) in rank order
+            cols = rows[_rank_order(d, c, rows, g_sign)]
+            v_prev = v_seed[np.ix_(rows, cols)]
+            g_prev = 0.0
+            for gi in steps:
+                w, v, worst = _continue_chain(
+                    d, c, g_prev, v_prev, float(grid[gi]), overlap_floor, max_refine
+                )
+                energies[cols, gi] = w
+                vectors[rows[:, None], cols, gi] = v
+                floor_seen = min(floor_seen, worst)
+                v_prev, g_prev = v, float(grid[gi])
 
     return BranchFamily(params_base, grid, labels, energies, vectors, floor_seen)
 
@@ -372,9 +436,9 @@ def convergence_scan(
         raise ValueError("sizes must be strictly increasing")
     spectra = []
     for n in sizes:
-        p = ModelParams(params.omega, params.Omega, params.g, n)
-        w = np.linalg.eigvalsh(build_rabi(p).entries)
-        spectra.append(w)
+        diag, couplings = rabi_bands(ModelParams(params.omega, params.Omega, params.g, n))
+        sectors = [eigvalsh_tridiagonal(diag[rows], couplings) for rows in _chains(n)]
+        spectra.append(np.sort(np.concatenate(sectors)))
     n_levels = 2 * sizes[0]
     drifts = np.zeros(n_levels)
     for a, b in zip(spectra, spectra[1:]):

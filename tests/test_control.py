@@ -195,3 +195,15 @@ def test_labelled_spectrum_strong_coupling():
     spec = labelled_spectrum(p)
     assert len(spec.labels) == p.dim
     assert np.all(np.diff(spec.eigenvalues) >= 0)
+
+
+def test_segment_counts_end_on_a_driven_half_period():
+    # a trailing zero-amplitude half-period is free H0 evolution, which leaves
+    # the fidelity to an H0 eigenstate unchanged; the design never ends on one
+    for target in (BasisIndex(1, -1), BasisIndex(0, 1)):
+        report = transfer_experiment(
+            P, BasisIndex(0, -1), target, 0.02, max_periods=300
+        )
+        assert report.edges
+        for edge in report.edges:
+            assert edge["n_segments"] == 0 or edge["n_segments"] % 2 == 1
