@@ -4,11 +4,13 @@ Eigenpairs of a generic operator at one point are labelled by maximal
 overlap with the product basis. Branches of H_Rabi over a g-grid use its
 parity symmetry instead: H_Rabi splits into two tridiagonal (Jacobi)
 chains (0,P), (1,-P), (2,P), ... for P = +-1, solved separately and
-embedded back into the 2N basis. An unreduced Jacobi matrix has a simple
-spectrum, so for g != 0 levels of one chain never cross and a branch's
-label is its rank within its chain, seeded by the sorted g = 0 diagonal.
-Each branch keeps a positive-overlap phase convention from one grid point
-to the next.
+embedded back into the 2N basis. Each chain's branches start from the
+g = 0 levels and keep their rank from one grid point to the next while
+every overlap clears the floor. An unreduced Jacobi matrix has a simple
+spectrum, so levels of one chain never cross for g != 0, but near odd
+resonances Omega ~ (2k+1) omega they pass through gaps of order g^(2k+1);
+there each branch takes the eigenvector of largest overlap, which follows
+the diabatic level. Each branch keeps a positive-overlap phase convention.
 """
 
 from __future__ import annotations
@@ -228,46 +230,6 @@ def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np
     return labels, vecs, energies
 
 
-def _second_order_shift(d: np.ndarray, c: np.ndarray, i: int) -> float:
-    """Coefficient of g^2 in the energy of chain site i, from its chain neighbours."""
-    shift = 0.0
-    if i > 0:
-        shift += c[i - 1] ** 2 / (d[i] - d[i - 1])
-    if i + 1 < len(d):
-        shift += c[i] ** 2 / (d[i] - d[i + 1])
-    return shift
-
-
-def _rank_order(d: np.ndarray, c: np.ndarray, rows: np.ndarray, g_sign: int) -> np.ndarray:
-    """Chain sites in ascending order of their branch energy for small g of one sign.
-
-    `d` is the chain's g = 0 diagonal, `c` its couplings at g = 1 and `rows`
-    the sites' linear indices (for naming labels). Tied sites come in pairs.
-    Adjacent ones (omega = Omega) split at first order by +-c: the site with
-    the lower photon number, seeded symmetric, goes above for g > 0 and
-    below for g < 0. Others are ordered by their second-order shift, which
-    does not depend on the sign of g.
-    """
-    order = np.argsort(d, kind="stable")
-    for r in range(len(order) - 1):
-        a, b = sorted(order[r : r + 2])
-        if not _tied(d[a], d[b]):
-            continue
-        if b - a == 1:
-            upper = a if g_sign > 0 else b
-        else:
-            sa, sb = _second_order_shift(d, c, a), _second_order_shift(d, c, b)
-            if _tied(sa, sb):
-                raise ValueError(
-                    f"levels {BasisIndex.from_linear(int(rows[a]))} and "
-                    f"{BasisIndex.from_linear(int(rows[b]))} tie at g = 0 and at "
-                    "second order; their branch order is undetermined"
-                )
-            upper = a if sa > sb else b
-        order[r : r + 2] = (b, a) if upper == a else (a, b)
-    return order
-
-
 def _chain_product(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]
@@ -280,31 +242,42 @@ def _continue_chain(
     c: np.ndarray,
     g0: float,
     v0: np.ndarray,
+    rank0: np.ndarray,
     g1: float,
     floor: float,
     depth: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve one chain at g1 and align each eigenvector's sign with v0 at g0.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Solve one chain at g1 and match its eigenpairs to the branches v0 at g0.
 
-    Columns of v0 are in rank order. While a rank's overlap between the two
-    points is below `floor`, the step is halved, at most `depth` times.
+    Branch j had rank rank0[j] at g0 and keeps it while every branch's
+    overlap clears `floor`. Otherwise each branch takes the eigenvector of
+    largest |overlap|; across a crossing too narrow to resolve on the step,
+    this follows the diabatic level. If that is no permutation clearing the
+    floor either, the step is halved, at most `depth` times. Returns the
+    energies and sign-aligned vectors in branch order, the ranks and the
+    worst overlap.
     """
     e = g1 * c
     w, v = eigh_tridiagonal(d, e)
     _check_eigenpairs(_chain_product(d, e, v), w, v)
-    overlap = np.einsum("ij,ij->j", v0, v)
+    rank = rank0
+    overlap = np.einsum("ij,ij->j", v0, v[:, rank])
+    if np.min(np.abs(overlap)) < floor:
+        m = v0.T @ v
+        rank = np.argmax(np.abs(m), axis=1)
+        overlap = m[np.arange(len(rank)), rank]
     worst = float(np.min(np.abs(overlap)))
-    if worst >= floor:
-        return w, v * np.where(overlap < 0, -1.0, 1.0), worst
+    if worst >= floor and len(np.unique(rank)) == len(rank):
+        return w[rank], v[:, rank] * np.where(overlap < 0, -1.0, 1.0), rank, worst
     if depth <= 0:
         raise GridRefinementError(
             f"overlap {worst:.3f} below floor {floor} between g={g0} and g={g1} "
             "after maximal bisection; refine the grid near this interval"
         )
     gm = 0.5 * (g0 + g1)
-    _, vm, o1 = _continue_chain(d, c, g0, v0, gm, floor, depth - 1)
-    w1, v1, o2 = _continue_chain(d, c, gm, vm, g1, floor, depth - 1)
-    return w1, v1, min(o1, o2)
+    _, vm, rm, o1 = _continue_chain(d, c, g0, v0, rank0, gm, floor, depth - 1)
+    w1, v1, r1, o2 = _continue_chain(d, c, gm, vm, rm, g1, floor, depth - 1)
+    return w1, v1, r1, min(o1, o2)
 
 
 def track_branches(
@@ -315,8 +288,8 @@ def track_branches(
 ) -> BranchFamily:
     """Track every eigenpair of H_Rabi over the grid, seeded at g = 0.
 
-    Each parity chain is solved on its own; the branch of rank r in a chain
-    carries the label of the chain's r-th g = 0 level.
+    Each parity chain is solved on its own, and its branches are continued
+    from the g = 0 seed by overlap (see `_continue_chain`).
     """
     grid = np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -332,24 +305,23 @@ def track_branches(
     _, c = rabi_bands(params_base.with_g(1.0))
     dim = params_base.dim
     energies = np.empty((dim, len(grid)))
-    # filled one grid point at a time, so the grid axis is outermost in memory
-    vectors = np.moveaxis(np.zeros((len(grid), dim, dim)), 0, -1)
+    vectors = np.zeros((dim, dim, len(grid)))
     energies[:, i0] = e_seed
     vectors[:, :, i0] = v_seed
     floor_seen = 1.0
 
     for rows in _chains(params_base.n_fock):
         d = e_seed[rows]
-        for g_sign, steps in ((1, range(i0 + 1, len(grid))), (-1, range(i0 - 1, -1, -1))):
-            if not steps:
-                continue
-            # branch columns (label linear indices) in rank order
-            cols = rows[_rank_order(d, c, rows, g_sign)]
+        # branch columns (label linear indices), in the g = 0 rank order that
+        # the first step tries first
+        cols = rows[np.argsort(d, kind="stable")]
+        for steps in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
             v_prev = v_seed[np.ix_(rows, cols)]
+            rank = np.arange(len(rows))
             g_prev = 0.0
             for gi in steps:
-                w, v, worst = _continue_chain(
-                    d, c, g_prev, v_prev, float(grid[gi]), overlap_floor, max_refine
+                w, v, rank, worst = _continue_chain(
+                    d, c, g_prev, v_prev, rank, float(grid[gi]), overlap_floor, max_refine
                 )
                 energies[cols, gi] = w
                 vectors[rows[:, None], cols, gi] = v
