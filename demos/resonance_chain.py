@@ -29,7 +29,6 @@ print(f"g = 0: connected = {cert0.connected}, components = {cert0.components}")
 for g in np.linspace(0.05, 0.5, 10):
     params = base.with_g(float(g))
     spec = labelled_spectrum(params)
-    spec.trust_cutoff = max(spec.trust_cutoff, window)
     scan = numeric_resonance_scan(spec, window, tol=1e-9)
     graph = coupling_graph(spec, build_control(params), window=window)
     cert = certify_chain(graph)

@@ -9,9 +9,7 @@ Exit codes: 0 success, 1 certification failure (e.g. no spanning chain),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, perturbation, resonance, spectral
-from .fockmodel import BasisIndex, ModelParams, build_control
+from ._io import atomic_write, write_csv
+from .fockmodel import BasisIndex, ModelParams, build_control, tied
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -121,32 +120,6 @@ class RunConfig:
         )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        raise RuntimeError(f"non-finite value {x} about to be written")
-    return f"{x:.17g}"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_csv(path: str, header: list[str], rows: list[list]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-    os.replace(tmp, path)
-
-
 def _out(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
@@ -165,7 +138,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 spec.eigenvalues[k],
             ]
         )
-    _atomic_csv(
+    write_csv(
         _out(cfg, "spectrum.csv"), ["level", "label_n", "label_s", "eigenvalue"], rows
     )
     return EXIT_OK
@@ -184,19 +157,12 @@ def _grid_from_config(cfg: RunConfig) -> np.ndarray:
 
 def cmd_branches(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg)
-    family = spectral.track_branches(cfg.model, grid)
-    rows = []
-    for gi, g in enumerate(family.g_grid):
-        for b, lab in enumerate(family.labels):
-            rows.append([g, str(lab.n), str(lab.s), family.energies[b, gi]])
-    _atomic_csv(
-        _out(cfg, "branches.csv"), ["g", "label_n", "label_s", "eigenvalue"], rows
-    )
+    spectral.track_branches(cfg.model, grid).to_csv(_out(cfg, "branches.csv"))
     return EXIT_OK
 
 
 def cmd_perturb(cfg: RunConfig) -> int:
-    if cfg.model.omega == cfg.model.Omega:
+    if tied(cfg.model.omega, cfg.model.Omega):
         raise ConfigError(
             "omega = Omega in key 'model.Omega': use the `degenerate` command"
         )
@@ -210,14 +176,8 @@ def cmd_perturb(cfg: RunConfig) -> int:
         n_points=int(p.get("n_points", perturbation.FIT_POINTS)),
         degree=int(p.get("degree", perturbation.FIT_DEGREE)),
     )
-    d = [r.to_dict() for r in rows]
-    keys = [k for k in d[0] if k != "fit_window"]
-    _atomic_csv(
-        _out(cfg, "perturb.csv"),
-        keys,
-        [[r[k] if isinstance(r[k], int) else r[k] for k in keys] for r in d],
-    )
-    _atomic_write(_out(cfg, "perturb.json"), perturbation.table_to_json(rows))
+    perturbation.table_to_csv(rows, _out(cfg, "perturb.csv"))
+    atomic_write(_out(cfg, "perturb.json"), perturbation.table_to_json(rows))
     return EXIT_OK
 
 
@@ -241,12 +201,11 @@ def cmd_resonance(cfg: RunConfig) -> int:
     clean = True
     for g in _g_samples(cfg):
         spec = control.labelled_spectrum(cfg.model.with_g(g))
-        spec.trust_cutoff = max(spec.trust_cutoff, window)
         tol = float(r.get("tol", 1e-9 * spec.spectral_diameter()))
         scan = resonance.numeric_resonance_scan(spec, window, tol)
         clean = clean and not scan.filtered
         reports.append({"g": g, "report": json.loads(scan.to_json())})
-    _atomic_write(
+    atomic_write(
         _out(cfg, "resonance.json"),
         json.dumps({"samples": reports, "all_clean": clean}),
     )
@@ -257,7 +216,6 @@ def cmd_chain(cfg: RunConfig) -> int:
     r = cfg.resonance
     spec = control.labelled_spectrum(cfg.model)
     window = int(r.get("window", spec.trust_cutoff))
-    spec.trust_cutoff = max(spec.trust_cutoff, window)
     graph = resonance.coupling_graph(
         spec,
         build_control(cfg.model),
@@ -266,7 +224,7 @@ def cmd_chain(cfg: RunConfig) -> int:
         window=window,
     )
     cert = resonance.certify_chain(graph)
-    _atomic_write(
+    atomic_write(
         _out(cfg, "chain.json"),
         json.dumps(
             {
@@ -296,15 +254,8 @@ def cmd_transfer(cfg: RunConfig) -> int:
         max_periods=int(t.get("max_periods", control.DEFAULT_MAX_PERIODS)),
         threshold=threshold,
     )
-    _atomic_write(_out(cfg, "transfer.json"), report.to_json())
-    rows = [
-        [row["t"]] + list(row["p"]) for row in report.populations
-    ]
-    _atomic_csv(
-        _out(cfg, "populations.csv"),
-        ["t"] + [f"p{k}" for k in report.tracked_levels],
-        rows,
-    )
+    atomic_write(_out(cfg, "transfer.json"), report.to_json())
+    report.populations_to_csv(_out(cfg, "populations.csv"))
     return EXIT_OK if report.fidelity >= threshold else EXIT_CERTIFICATION
 
 
@@ -312,12 +263,12 @@ def cmd_convergence(cfg: RunConfig) -> int:
     c = cfg.convergence
     sizes = [int(n) for n in c.get("sizes", [32, 64, 128])]
     report = spectral.convergence_scan(cfg.model, sizes, tol=float(c.get("tol", 1e-8)))
-    _atomic_write(_out(cfg, "convergence.json"), report.to_json())
+    atomic_write(_out(cfg, "convergence.json"), report.to_json())
     return EXIT_OK
 
 
 def cmd_degenerate(cfg: RunConfig) -> int:
-    if cfg.model.omega != cfg.model.Omega:
+    if not tied(cfg.model.omega, cfg.model.Omega):
         raise ConfigError(
             "omega != Omega in key 'model.Omega': the `degenerate` command "
             "requires the resonant model"
@@ -332,8 +283,7 @@ def cmd_degenerate(cfg: RunConfig) -> int:
     for j in range(j_max + 1):
         up, dn = perturbation.degenerate_slopes(j)
         for lab, closed in ((BasisIndex(j, 1), up), (BasisIndex(j + 1, -1), dn)):
-            e = family.energies[family.branch_index(lab)]
-            numeric = (e[0] - 8 * e[1] + 8 * e[3] - e[4]) / (12 * h)
+            numeric = spectral.stencil_slope(lambda d: family.energy(lab, d), h)
             slopes.append(
                 {
                     "label_n": lab.n,
@@ -343,7 +293,7 @@ def cmd_degenerate(cfg: RunConfig) -> int:
                 }
             )
     check = resonance.degenerate_quadruple_check(window, cfg.model.omega)
-    _atomic_write(
+    atomic_write(
         _out(cfg, "degenerate.json"),
         json.dumps({"slopes": slopes, "quadruple_check": check}),
     )

@@ -9,7 +9,6 @@ H0 + (delta/2)*B, which removes the static Stark detuning of the drive.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -17,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .fockmodel import BasisIndex, LabeledOperator, ModelParams, build_control, build_rabi
-from .resonance import TransitionGraph, certify_chain, coupling_graph
-from .spectral import Spectrum, diagonalize, track_branches
+from .resonance import TransitionGraph, bfs_parents, certify_chain, coupling_graph
+from .spectral import (
+    GridRefinementError,
+    SolverError,
+    Spectrum,
+    diagonalize,
+    track_branches,
+)
 
 __all__ = [
     "Pulse",
@@ -68,11 +74,7 @@ class Pulse:
         return sum(d for d, _ in self.segments)
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["duration", "amplitude"])
-            for duration, amplitude in self.segments:
-                w.writerow([f"{duration:.17g}", f"{amplitude:.17g}"])
+        write_csv(path, ["duration", "amplitude"], self.segments)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -164,22 +166,9 @@ def _witness_path(
     """Breadth-first path from source to target over the chain witness."""
     if graph.chain_witness is None:
         raise TransferError("certify", "graph has no spanning chain witness")
-    adjacency: dict[int, list[int]] = {}
-    for a, b in graph.chain_witness:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if source not in adjacency and source != target:
+    prev = bfs_parents(graph.chain_witness, source)
+    if len(prev) == 1 and source != target:
         raise TransferError("design", f"no path: level {source} not in the witness")
-    prev = {source: source}
-    queue = [source]
-    while queue:
-        cur = queue.pop(0)
-        if cur == target:
-            break
-        for nxt in adjacency.get(cur, []):
-            if nxt not in prev:
-                prev[nxt] = cur
-                queue.append(nxt)
     if target not in prev:
         raise TransferError(
             "design", f"no path between levels {source} and {target} in the witness"
@@ -305,14 +294,11 @@ class TransferReport:
         )
 
     def populations_to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t"] + [f"p{k}" for k in self.tracked_levels])
-            for row in self.populations:
-                w.writerow(
-                    [f"{row['t']:.17g}"]
-                    + [f"{row['p'][i]:.17g}" for i in range(len(self.tracked_levels))]
-                )
+        write_csv(
+            path,
+            ["t"] + [f"p{k}" for k in self.tracked_levels],
+            ([row["t"], *row["p"]] for row in self.populations),
+        )
 
 
 def labelled_spectrum(params: ModelParams, n_steps: int = 21) -> Spectrum:
@@ -358,13 +344,13 @@ def transfer_experiment(
         )
     try:
         spectrum = labelled_spectrum(params)
-    except Exception as exc:
+    except (SolverError, GridRefinementError, ValueError) as exc:
         raise TransferError("diagonalize", str(exc)) from exc
     h0 = build_rabi(params)
     b = build_control(params)
     try:
         graph = coupling_graph(spectrum, b, window=window)
-    except Exception as exc:
+    except ValueError as exc:
         raise TransferError("graph", str(exc)) from exc
     cert = certify_chain(graph)
     if not cert.connected:

@@ -11,7 +11,6 @@ real, so complex numbers only appear in states and propagators.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -19,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
+
 __all__ = [
     "ModelParams",
     "BasisIndex",
     "LabeledOperator",
     "basis_order",
+    "bare_energy",
+    "tied",
     "rabi_bands",
     "degenerate_basis",
     "build_rabi",
@@ -35,6 +38,13 @@ __all__ = [
 ]
 
 BASIS_CONVENTION = "k = 2n + (1-s)/2"
+# relative gap below which two energies count as tied (omega = Omega, or two
+# g = 0 levels of one chain)
+TIE_TOL = 1e-12
+
+
+def tied(a: float, b: float) -> bool:
+    return abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -163,11 +173,8 @@ class LabeledOperator:
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write nonzero entries as (i, j, value) triplets."""
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["i", "j", "value"])
-            for i, j in zip(*np.nonzero(self.entries)):
-                w.writerow([int(i), int(j), f"{self.entries[i, j]:.17g}"])
+        i, j = np.nonzero(self.entries)
+        write_csv(path, ["i", "j", "value"], zip(i, j, self.entries[i, j]))
 
 
 def _empty(params: ModelParams, name: str) -> LabeledOperator:
@@ -181,18 +188,35 @@ def _set_sym(m: np.ndarray, i, j, value) -> None:
     m[j, i] = value
 
 
+def _product_labels(n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    """Photon numbers n and spins s of the linear indices k = 0..2N-1."""
+    k = np.arange(2 * n_fock)
+    return k // 2, 1 - 2 * (k % 2)
+
+
+def bare_energy(n, s, omega: float, Omega: float):
+    """Uncoupled energy omega*(n + 1/2) + s*Omega/2 of (n, s); n and s may be arrays."""
+    return omega * (n + 0.5) + s * Omega / 2
+
+
 def rabi_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and couplings of the truncated Rabi Hamiltonian.
 
-    Returns the diagonal omega*(n + 1/2) + s*Omega/2 in linear-index order
-    and the couplings g*sqrt((n+1)/2), n = 0..N-2, which join (n, s) to
-    (n+1, -s) for either spin.
+    Returns the bare energies in linear-index order and the couplings
+    g*sqrt((n+1)/2), n = 0..N-2, which join (n, s) to (n+1, -s) for either
+    spin.
     """
-    k = np.arange(params.dim)
-    n, s = k // 2, 1 - 2 * (k % 2)
-    diag = params.omega * (n + 0.5) + s * params.Omega / 2
+    n, s = _product_labels(params.n_fock)
+    diag = bare_energy(n, s, params.omega, params.Omega)
     couplings = params.g * np.sqrt(np.arange(1, params.n_fock) / 2)
     return diag, couplings
+
+
+def _set_spin_flips(m: np.ndarray, couplings: np.ndarray) -> None:
+    up = 2 * np.arange(len(couplings))  # linear index of (n, +1)
+    # (n, +1) <-> (n+1, -1) joins k and k+3; (n, -1) <-> (n+1, +1) joins k+1 and k+2
+    _set_sym(m, up, up + 3, couplings)
+    _set_sym(m, up + 1, up + 2, couplings)
 
 
 def build_rabi(params: ModelParams) -> LabeledOperator:
@@ -204,10 +228,7 @@ def build_rabi(params: ModelParams) -> LabeledOperator:
     op = _empty(params, "H_Rabi")
     diag, couplings = rabi_bands(params)
     np.fill_diagonal(op.entries, diag)
-    up = 2 * np.arange(params.n_fock - 1)  # linear index of (n, +1)
-    # (n, +1) <-> (n+1, -1) joins k and k+3; (n, -1) <-> (n+1, +1) joins k+1 and k+2
-    _set_sym(op.entries, up, up + 3, couplings)
-    _set_sym(op.entries, up + 1, up + 2, couplings)
+    _set_spin_flips(op.entries, couplings)
     return op
 
 
@@ -248,44 +269,33 @@ def degenerate_basis(j: int, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
 def build_control(params: ModelParams) -> LabeledOperator:
     """Control operator X (x) 1: spin-diagonal photon ladder, independent of g."""
     op = _empty(params, "B_X")
-    m = op.entries
-    for n in range(params.n_fock - 1):
-        for s in (1, -1):
-            i = BasisIndex(n, s).k
-            j = BasisIndex(n + 1, s).k
-            _set_sym(m, i, j, math.sqrt((n + 1) / 2))
+    _, ladder = rabi_bands(params.with_g(1.0))
+    up = 2 * np.arange(params.n_fock - 1)  # linear index of (n, +1)
+    # (n, s) <-> (n+1, s) joins k and k+2
+    _set_sym(op.entries, up, up + 2, ladder)
+    _set_sym(op.entries, up + 1, up + 3, ladder)
     return op
 
 
 def build_interaction(params: ModelParams) -> LabeledOperator:
     """Coupling operator X (x) sigma_1, so that H_Rabi(g) = H_Rabi(0) + g*V."""
     op = _empty(params, "V")
-    m = op.entries
-    for n in range(params.n_fock - 1):
-        for s in (1, -1):
-            i = BasisIndex(n, s).k
-            j = BasisIndex(n + 1, -s).k
-            _set_sym(m, i, j, math.sqrt((n + 1) / 2))
+    _, ladder = rabi_bands(params.with_g(1.0))
+    _set_spin_flips(op.entries, ladder)
     return op
 
 
 def build_parity(params: ModelParams) -> LabeledOperator:
     """Parity operator (-1)^(a^dag a) (x) sigma_3; commutes with H_Rabi."""
     op = _empty(params, "Parity")
-    m = op.entries
-    for n in range(params.n_fock):
-        for s in (1, -1):
-            k = BasisIndex(n, s).k
-            m[k, k] = s * (-1) ** n
+    n, s = _product_labels(params.n_fock)
+    np.fill_diagonal(op.entries, s * (-1) ** n)
     return op
 
 
 def build_excitation(params: ModelParams) -> LabeledOperator:
     """Total excitation number C; conserved by H_JC."""
     op = _empty(params, "ExcitationNumber")
-    m = op.entries
-    for n in range(params.n_fock):
-        for s in (1, -1):
-            k = BasisIndex(n, s).k
-            m[k, k] = n + (1 + s) // 2
+    n, s = _product_labels(params.n_fock)
+    np.fill_diagonal(op.entries, n + (1 + s) // 2)
     return op

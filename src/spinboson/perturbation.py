@@ -8,7 +8,6 @@ forms are validated against polynomial fits of numerically tracked branches.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -16,8 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmodel import BasisIndex, ModelParams, build_control, degenerate_basis
-from .spectral import BranchFamily, track_branches
+from ._io import write_csv
+from .fockmodel import (
+    BasisIndex,
+    ModelParams,
+    bare_energy,
+    build_control,
+    degenerate_basis,
+    tied,
+)
+from .spectral import BranchFamily, stencil_slope, track_branches
 
 __all__ = [
     "PerturbationTable",
@@ -50,7 +57,7 @@ CONDITION_LIMIT = 1e10
 
 
 def _require_nondegenerate(omega: float, Omega: float) -> None:
-    if omega == Omega:
+    if tied(omega, Omega):
         raise ValueError(
             "omega = Omega is the degenerate case; use degenerate_basis/"
             "degenerate_slopes instead"
@@ -59,7 +66,7 @@ def _require_nondegenerate(omega: float, Omega: float) -> None:
 
 def e0_closed(level: BasisIndex, omega: float, Omega: float) -> float:
     """Uncoupled eigenvalue omega*(n + 1/2) + s*Omega/2."""
-    return omega * (level.n + 0.5) + level.s * Omega / 2
+    return bare_energy(level.n, level.s, omega, Omega)
 
 
 def e2_closed(level: BasisIndex, omega: float, Omega: float) -> float:
@@ -185,7 +192,7 @@ def coupling_slope_fit(
         gi = branch.grid_index(g)
         return float(branch.vectors[:, bj, gi] @ (b @ branch.vectors[:, bk, gi]))
 
-    return (elem(-2 * h) - 8 * elem(-h) + 8 * elem(h) - elem(2 * h)) / (12 * h)
+    return stencil_slope(elem, h)
 
 
 def degenerate_slopes(j: int) -> tuple[float, float]:
@@ -278,15 +285,10 @@ def build_table(
 
 
 def table_to_csv(rows: list[PerturbationTable], path: str | os.PathLike) -> None:
-    keys = list(rows[0].to_dict().keys())[:-1]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(keys)
-        for row in rows:
-            d = row.to_dict()
-            w.writerow(
-                [d[k] if isinstance(d[k], int) else f"{d[k]:.17g}" for k in keys]
-            )
+    """Every column of `to_dict` except the fit window."""
+    dicts = [row.to_dict() for row in rows]
+    keys = [k for k in dicts[0] if k != "fit_window"]
+    write_csv(path, keys, ([d[k] for k in keys] for d in dicts))
 
 
 def table_to_json(rows: list[PerturbationTable]) -> str:

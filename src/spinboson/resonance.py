@@ -13,15 +13,16 @@ report records that limitation.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fockmodel import BasisIndex, LabeledOperator, ModelParams
+from ._io import write_csv
+from .fockmodel import BasisIndex, LabeledOperator, ModelParams, tied
 from .perturbation import e0_closed, e2_closed, e4_closed, degenerate_slopes
 from .spectral import Spectrum, track_branches
 
@@ -72,7 +73,7 @@ def classify_quadruple(
     Order 0 compares the uncoupled gaps; order 2 the second-order coefficient
     differences; order 4 the fourth-order ones.
     """
-    if omega == Omega:
+    if tied(omega, Omega):
         raise ValueError("omega = Omega: use degenerate_quadruple_check")
     if i == j:
         raise ValueError("need i != j")
@@ -206,11 +207,11 @@ class TransitionGraph:
         )
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["j", "k", "weight", "non_resonant"])
-            for e in self.edges:
-                w.writerow([e.j, e.k, f"{e.weight:.17g}", int(e.non_resonant)])
+        write_csv(
+            path,
+            ["j", "k", "weight", "non_resonant"],
+            ([e.j, e.k, e.weight, int(e.non_resonant)] for e in self.edges),
+        )
 
 
 def coupling_graph(
@@ -273,30 +274,39 @@ class ChainCertificate:
         )
 
 
+def bfs_parents(edges: list[tuple[int, int]], root: int) -> dict[int, int]:
+    """Breadth-first parent of every node reachable from root, in discovery order.
+
+    Edges are undirected and neighbours are visited in edge order; the root
+    is its own parent.
+    """
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    parent = {root: root}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj.get(cur, ()):
+            if nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
+    return parent
+
+
 def _bfs_forest(
     nodes: list[int], edges: list[tuple[int, int]]
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    adjacency: dict[int, list[int]] = {k: [] for k in nodes}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    unseen = set(adjacency)
+    unseen = set(nodes)
     components = []
     tree: list[tuple[int, int]] = []
     while unseen:
         root = min(unseen)
-        comp = [root]
-        unseen.discard(root)
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
-            for nxt in adjacency[cur]:
-                if nxt in unseen:
-                    unseen.discard(nxt)
-                    comp.append(nxt)
-                    tree.append((cur, nxt))
-                    queue.append(nxt)
-        components.append(sorted(comp))
+        parent = bfs_parents(edges, root)
+        unseen -= parent.keys()
+        components.append(sorted(parent))
+        tree += [(p, k) for k, p in parent.items() if k != root]
     return components, tree
 
 

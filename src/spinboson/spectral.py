@@ -15,7 +15,6 @@ the diabatic level. Each branch keeps a positive-overlap phase convention.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from ._io import write_csv
 from .fockmodel import (
     BasisIndex,
     LabeledOperator,
@@ -32,6 +32,7 @@ from .fockmodel import (
     build_rabi,
     degenerate_basis,
     rabi_bands,
+    tied,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "diagonalize",
     "track_branches",
     "hellmann_feynman_check",
+    "stencil_slope",
     "convergence_scan",
     "ConvergenceReport",
 ]
@@ -49,8 +51,6 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
-# relative gap below which two g = 0 energies of one chain count as tied
-TIE_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -182,25 +182,14 @@ class BranchFamily:
         return self.vectors[:, self.branch_index(label), self.grid_index(g)]
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["g", "label_n", "label_s", "eigenvalue"])
-            for gi, g in enumerate(self.g_grid):
-                for b, lab in enumerate(self.labels):
-                    w.writerow(
-                        [f"{g:.17g}", lab.n, lab.s, f"{self.energies[b, gi]:.17g}"]
-                    )
-
-    def vectors_to_json(self, g: float) -> str:
-        """Eigenvector columns at one grid point, in the operator JSON format."""
-        gi = self.grid_index(g)
-        return json.dumps(
-            {
-                "name": f"branch_vectors(g={g:.17g})",
-                "dim": self.dim,
-                "basis_convention": "columns ordered as the branch labels",
-                "entries": self.vectors[:, :, gi].ravel().tolist(),
-            }
+        write_csv(
+            path,
+            ["g", "label_n", "label_s", "eigenvalue"],
+            (
+                [g, lab.n, lab.s, self.energies[b, gi]]
+                for gi, g in enumerate(self.g_grid)
+                for b, lab in enumerate(self.labels)
+            ),
         )
 
 
@@ -208,10 +197,6 @@ def _chains(n_fock: int) -> list[np.ndarray]:
     """Linear indices of the parity chains (0,P), (1,-P), (2,P), ... for P = +1, -1."""
     n = np.arange(n_fock)
     return [2 * n + (n + first) % 2 for first in (0, 1)]
-
-
-def _tied(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b))
 
 
 def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np.ndarray]:
@@ -225,7 +210,7 @@ def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np
     vecs = np.eye(params.dim)
     for j in range(params.n_fock - 1):
         up, dn = BasisIndex(j, 1).k, BasisIndex(j + 1, -1).k
-        if _tied(energies[up], energies[dn]):
+        if tied(energies[up], energies[dn]):
             vecs[:, up], vecs[:, dn] = degenerate_basis(j, params.n_fock)
     return labels, vecs, energies
 
@@ -331,6 +316,11 @@ def track_branches(
     return BranchFamily(params_base, grid, labels, energies, vectors, floor_seen)
 
 
+def stencil_slope(f, h: float) -> float:
+    """Fourth-order centred first derivative at 0 of f, sampled at +-h and +-2h."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+
+
 def hellmann_feynman_check(
     branch: BranchFamily,
     v_op: LabeledOperator,
@@ -359,11 +349,8 @@ def hellmann_feynman_check(
     v_mat = v_op.entries
     for b, lab in enumerate(branch.labels):
         vec = branch.vectors[:, b, gi]
-        e_at = {}
-        for delta, (w, v) in stencil.items():
-            k = int(np.argmax(np.abs(vec @ v)))
-            e_at[delta] = w[k]
-        fd = (e_at[-2 * h] - 8 * e_at[-h] + 8 * e_at[h] - e_at[2 * h]) / (12 * h)
+        e_at = {d: w[int(np.argmax(np.abs(vec @ v)))] for d, (w, v) in stencil.items()}
+        fd = stencil_slope(e_at.get, h)
         rayleigh = float(vec @ (v_mat @ vec))
         disc = abs(fd - rayleigh)
         rows.append(

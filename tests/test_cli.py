@@ -54,6 +54,13 @@ def test_perturb_rejects_degenerate(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_perturb_rejects_near_tie(tmp_path, capsys):
+    cfg = base_config(tmp_path, Omega=1.0 + 1e-13)
+    code = main(["perturb", "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INPUT
+    assert "degenerate" in capsys.readouterr().err
+
+
 def test_perturb_output(tmp_path):
     cfg = base_config(tmp_path, n_fock=32)
     cfg["perturb"] = {"max_n": 1}
@@ -124,6 +131,17 @@ def test_resonance_command(tmp_path):
     report = json.loads((tmp_path / "out" / "resonance.json").read_text())
     assert report["all_clean"]
     assert len(report["samples"]) == 2
+
+
+@pytest.mark.parametrize("command", ["resonance", "chain"])
+def test_window_beyond_trust_cutoff_rejected(tmp_path, capsys, command):
+    # n_fock = 16 trusts the lowest 4 levels; a window of 12 is refused, not
+    # certified over untrusted levels
+    cfg = base_config(tmp_path, Omega=1.05, g=0.2, n_fock=16)
+    cfg["resonance"] = {"window": 12, "g_samples": [0.2]}
+    code = main([command, "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INPUT
+    assert "window" in capsys.readouterr().err
 
 
 def test_transfer_command(tmp_path):

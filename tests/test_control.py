@@ -190,6 +190,15 @@ def test_populations_csv(tmp_path):
     assert header.startswith("t,p")
 
 
+def test_transfer_experiment_passes_unexpected_errors_through(monkeypatch):
+    def broken(params):
+        raise TypeError("broken spectrum")
+
+    monkeypatch.setattr("spinboson.control.labelled_spectrum", broken)
+    with pytest.raises(TypeError, match="broken spectrum"):
+        transfer_experiment(P, BasisIndex(0, -1), BasisIndex(1, -1), 0.02)
+
+
 def test_labelled_spectrum_strong_coupling():
     p = ModelParams(1.0, 1.05, 0.5, 32)
     spec = labelled_spectrum(p)

@@ -153,3 +153,12 @@ def test_operator_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,value"
     assert len(lines) - 1 == np.count_nonzero(h.entries)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_operator_csv_refuses_non_finite(tmp_path, bad):
+    op = LabeledOperator("bad", np.array([[1.0, bad], [bad, 1.0]]), basis_order(1))
+    path = tmp_path / "op.csv"
+    with pytest.raises(RuntimeError, match="non-finite"):
+        op.to_csv(path)
+    assert not path.exists()

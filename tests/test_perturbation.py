@@ -42,6 +42,12 @@ def test_e2_rejects_degenerate():
         c_coefficients(1, 1.0, 1.0)
 
 
+def test_e2_rejects_near_tie():
+    # 1e-13 apart, omega and Omega still tie: the closed form would return 5e12
+    with pytest.raises(ValueError):
+        e2_closed(BasisIndex(0, 1), 1.0, 1.0 + 1e-13)
+
+
 def test_e2_two_term_sum_cross_check():
     # independent oracle: -(omega - s*Omega)^-1 (n+1)/2 + (omega + s*Omega)^-1 n/2
     for n in range(6):

@@ -70,6 +70,12 @@ def test_classify_rejects_malformed():
         classify_quadruple(a, b, b, a, 1.0, 1.0)
 
 
+def test_classify_rejects_near_tie():
+    a, b = BasisIndex(0, 1), BasisIndex(0, -1)
+    with pytest.raises(ValueError):
+        classify_quadruple(a, b, BasisIndex(1, 1), BasisIndex(1, -1), 1.0, 1.0 + 1e-13)
+
+
 def test_scan_uncoupled_has_collisions():
     p = ModelParams(1.0, 1.1, 0.0, 32)
     spec = diagonalize(build_rabi(p), p)
