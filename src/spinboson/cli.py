@@ -128,16 +128,10 @@ def _out(cfg: RunConfig, name: str) -> str:
 def cmd_spectrum(cfg: RunConfig) -> int:
     spec = control.labelled_spectrum(cfg.model)
     rows = []
-    for k in range(spec.dim):
+    for k, e in enumerate(spec.eigenvalues):
         lab = spec.labels.get(k)
-        rows.append(
-            [
-                k,
-                "" if lab is None else str(lab.n),
-                "" if lab is None else str(lab.s),
-                spec.eigenvalues[k],
-            ]
-        )
+        n, s = ("", "") if lab is None else (str(lab.n), str(lab.s))
+        rows.append([k, n, s, e])
     write_csv(
         _out(cfg, "spectrum.csv"), ["level", "label_n", "label_s", "eigenvalue"], rows
     )
@@ -201,6 +195,7 @@ def cmd_resonance(cfg: RunConfig) -> int:
     clean = True
     for g in _g_samples(cfg):
         spec = control.labelled_spectrum(cfg.model.with_g(g))
+        spec.trust_cutoff = max(spec.trust_cutoff, window)
         tol = float(r.get("tol", 1e-9 * spec.spectral_diameter()))
         scan = resonance.numeric_resonance_scan(spec, window, tol)
         clean = clean and not scan.filtered
@@ -216,6 +211,7 @@ def cmd_chain(cfg: RunConfig) -> int:
     r = cfg.resonance
     spec = control.labelled_spectrum(cfg.model)
     window = int(r.get("window", spec.trust_cutoff))
+    spec.trust_cutoff = max(spec.trust_cutoff, window)
     graph = resonance.coupling_graph(
         spec,
         build_control(cfg.model),
@@ -244,13 +240,16 @@ def cmd_transfer(cfg: RunConfig) -> int:
         delta = float(t["delta"])
     except KeyError as exc:
         raise ConfigError(f"missing key {exc.args[0]!r} in transfer") from None
+    window = t.get("window")
+    if window is not None and (not isinstance(window, int) or isinstance(window, bool)):
+        raise ConfigError(f"key 'transfer.window' must be an integer, got {window!r}")
     threshold = float(t.get("threshold", control.DEFAULT_THRESHOLD))
     report = control.transfer_experiment(
         cfg.model,
         source,
         target,
         delta,
-        window=t.get("window"),
+        window=window,
         max_periods=int(t.get("max_periods", control.DEFAULT_MAX_PERIODS)),
         threshold=threshold,
     )

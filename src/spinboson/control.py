@@ -18,7 +18,13 @@ import numpy as np
 
 from ._io import write_csv
 from .fockmodel import BasisIndex, LabeledOperator, ModelParams, build_control, build_rabi
-from .resonance import TransitionGraph, bfs_parents, certify_chain, coupling_graph
+from .resonance import (
+    TransitionGraph,
+    adjacency,
+    bfs_parents,
+    certify_chain,
+    coupling_graph,
+)
 from .spectral import (
     GridRefinementError,
     SolverError,
@@ -160,13 +166,11 @@ def propagate(
     return StateVector(psi, psi0.basis)
 
 
-def _witness_path(
-    graph: TransitionGraph, source: int, target: int
-) -> list[int]:
+def _witness_path(graph: TransitionGraph, source: int, target: int) -> list[int]:
     """Breadth-first path from source to target over the chain witness."""
     if graph.chain_witness is None:
         raise TransferError("certify", "graph has no spanning chain witness")
-    prev = bfs_parents(graph.chain_witness, source)
+    prev = bfs_parents(adjacency(graph.chain_witness), source)
     if len(prev) == 1 and source != target:
         raise TransferError("design", f"no path: level {source} not in the witness")
     if target not in prev:

@@ -26,6 +26,7 @@ __all__ = [
     "LabeledOperator",
     "basis_order",
     "bare_energy",
+    "photon_ladder",
     "tied",
     "rabi_bands",
     "degenerate_basis",
@@ -199,6 +200,11 @@ def bare_energy(n, s, omega: float, Omega: float):
     return omega * (n + 0.5) + s * Omega / 2
 
 
+def photon_ladder(n_fock: int) -> np.ndarray:
+    """Photon ladder sqrt((n+1)/2), n = 0..N-2, of the position operator X."""
+    return np.sqrt(np.arange(1, n_fock) / 2)
+
+
 def rabi_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and couplings of the truncated Rabi Hamiltonian.
 
@@ -208,7 +214,7 @@ def rabi_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """
     n, s = _product_labels(params.n_fock)
     diag = bare_energy(n, s, params.omega, params.Omega)
-    couplings = params.g * np.sqrt(np.arange(1, params.n_fock) / 2)
+    couplings = params.g * photon_ladder(params.n_fock)
     return diag, couplings
 
 
@@ -269,7 +275,7 @@ def degenerate_basis(j: int, n_fock: int) -> tuple[np.ndarray, np.ndarray]:
 def build_control(params: ModelParams) -> LabeledOperator:
     """Control operator X (x) 1: spin-diagonal photon ladder, independent of g."""
     op = _empty(params, "B_X")
-    _, ladder = rabi_bands(params.with_g(1.0))
+    ladder = photon_ladder(params.n_fock)
     up = 2 * np.arange(params.n_fock - 1)  # linear index of (n, +1)
     # (n, s) <-> (n+1, s) joins k and k+2
     _set_sym(op.entries, up, up + 2, ladder)
@@ -280,8 +286,7 @@ def build_control(params: ModelParams) -> LabeledOperator:
 def build_interaction(params: ModelParams) -> LabeledOperator:
     """Coupling operator X (x) sigma_1, so that H_Rabi(g) = H_Rabi(0) + g*V."""
     op = _empty(params, "V")
-    _, ladder = rabi_bands(params.with_g(1.0))
-    _set_spin_flips(op.entries, ladder)
+    _set_spin_flips(op.entries, photon_ladder(params.n_fock))
     return op
 
 

@@ -232,10 +232,7 @@ def coupling_graph(
         tol = 1e-9 * max(spectrum.spectral_diameter(), 1e-300)
 
     scan = numeric_resonance_scan(spectrum, window, tol)
-    resonant_pairs = set()
-    for a, b, _ in scan.filtered:
-        resonant_pairs.add(a)
-        resonant_pairs.add(b)
+    resonant_pairs = {pair for a, b, _ in scan.filtered for pair in (a, b)}
 
     nodes = []
     excluded = []
@@ -274,16 +271,21 @@ class ChainCertificate:
         )
 
 
-def bfs_parents(edges: list[tuple[int, int]], root: int) -> dict[int, int]:
-    """Breadth-first parent of every node reachable from root, in discovery order.
-
-    Edges are undirected and neighbours are visited in edge order; the root
-    is its own parent.
-    """
+def adjacency(edges: list[tuple[int, int]]) -> dict[int, list[int]]:
+    """Undirected neighbour lists, each in edge order."""
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
+    return adj
+
+
+def bfs_parents(adj: dict[int, list[int]], root: int) -> dict[int, int]:
+    """Breadth-first parent of every node reachable from root, in discovery order.
+
+    Neighbours are visited in the order `adjacency` lists them; the root is
+    its own parent.
+    """
     parent = {root: root}
     queue = deque([root])
     while queue:
@@ -298,12 +300,13 @@ def bfs_parents(edges: list[tuple[int, int]], root: int) -> dict[int, int]:
 def _bfs_forest(
     nodes: list[int], edges: list[tuple[int, int]]
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    adj = adjacency(edges)
     unseen = set(nodes)
     components = []
     tree: list[tuple[int, int]] = []
     while unseen:
         root = min(unseen)
-        parent = bfs_parents(edges, root)
+        parent = bfs_parents(adj, root)
         unseen -= parent.keys()
         components.append(sorted(parent))
         tree += [(p, k) for k, p in parent.items() if k != root]
@@ -364,14 +367,7 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
                 branches[c][1] - branches[d][1]
             )
             if abs(sdiff) <= _EXACT_TOL:
-                violations.append(
-                    (
-                        str(branches[a][2]),
-                        str(branches[b][2]),
-                        str(branches[c][2]),
-                        str(branches[d][2]),
-                    )
-                )
+                violations.append(tuple(str(branches[x][2]) for x in (a, b, c, d)))
     return {
         "window": window,
         "n_quadruples": n_checked,

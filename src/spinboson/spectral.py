@@ -31,6 +31,7 @@ from .fockmodel import (
     basis_order,
     build_rabi,
     degenerate_basis,
+    photon_ladder,
     rabi_bands,
     tied,
 )
@@ -287,7 +288,7 @@ def track_branches(
     i0 = int(zero_idx[0])
 
     labels, v_seed, e_seed = _seed_at_zero(params_base)
-    _, c = rabi_bands(params_base.with_g(1.0))
+    c = photon_ladder(params_base.n_fock)
     dim = params_base.dim
     energies = np.empty((dim, len(grid)))
     vectors = np.zeros((dim, dim, len(grid)))
@@ -339,11 +340,10 @@ def hellmann_feynman_check(
     h = 1e-3 * max(1.0, abs(g))
     params = branch.params_base
 
-    stencil = {}
-    for delta in (-2 * h, -h, h, 2 * h):
-        op = build_rabi(params.with_g(g + delta))
-        w, v = np.linalg.eigh(op.entries)
-        stencil[delta] = (w, v)
+    stencil = {
+        d: np.linalg.eigh(build_rabi(params.with_g(g + d)).entries)
+        for d in (-2 * h, -h, h, 2 * h)
+    }
 
     rows = []
     v_mat = v_op.entries

@@ -133,17 +133,6 @@ def test_resonance_command(tmp_path):
     assert len(report["samples"]) == 2
 
 
-@pytest.mark.parametrize("command", ["resonance", "chain"])
-def test_window_beyond_trust_cutoff_rejected(tmp_path, capsys, command):
-    # n_fock = 16 trusts the lowest 4 levels; a window of 12 is refused, not
-    # certified over untrusted levels
-    cfg = base_config(tmp_path, Omega=1.05, g=0.2, n_fock=16)
-    cfg["resonance"] = {"window": 12, "g_samples": [0.2]}
-    code = main([command, "--config", write_config(tmp_path, cfg)])
-    assert code == EXIT_INPUT
-    assert "window" in capsys.readouterr().err
-
-
 def test_transfer_command(tmp_path):
     cfg = base_config(tmp_path, Omega=1.05, g=0.2, n_fock=32)
     cfg["transfer"] = {
@@ -166,6 +155,20 @@ def test_transfer_missing_key(tmp_path, capsys):
     code = main(["transfer", "--config", write_config(tmp_path, cfg)])
     assert code == EXIT_INPUT
     assert "target" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["12", 12.0])
+def test_transfer_window_must_be_integer(tmp_path, capsys, window):
+    cfg = base_config(tmp_path, Omega=1.05, g=0.2, n_fock=16)
+    cfg["transfer"] = {
+        "source": {"n": 0, "s": -1},
+        "target": {"n": 1, "s": -1},
+        "delta": 0.02,
+        "window": window,
+    }
+    code = main(["transfer", "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INPUT
+    assert "transfer.window" in capsys.readouterr().err
 
 
 def test_determinism(tmp_path):
