@@ -48,12 +48,25 @@ def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
-def _level(d: dict, where: str) -> BasisIndex:
+def _level(d: dict, where: str, n_fock: int) -> BasisIndex:
     _reject_unknown(d, {"n", "s"}, where)
     try:
-        return BasisIndex(int(d["n"]), int(d["s"]))
+        label = BasisIndex(int(d["n"]), int(d["s"]))
     except KeyError as exc:
         raise ConfigError(f"missing key {exc.args[0]!r} in {where}") from None
+    if label.n >= n_fock:
+        raise ConfigError(f"key {where!r} names {label}, outside n_fock = {n_fock}")
+    return label
+
+
+def _int_key(block: dict, where: str, key: str, default: int | None = None) -> int | None:
+    """block[key] if it is a JSON integer, default if absent or null."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"key '{where}.{key}' must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -190,7 +203,7 @@ def _g_samples(cfg: RunConfig) -> list[float]:
 
 def cmd_resonance(cfg: RunConfig) -> int:
     r = cfg.resonance
-    window = int(r.get("window", 12))
+    window = _int_key(r, "resonance", "window", 12)
     reports = []
     clean = True
     for g in _g_samples(cfg):
@@ -209,8 +222,9 @@ def cmd_resonance(cfg: RunConfig) -> int:
 
 def cmd_chain(cfg: RunConfig) -> int:
     r = cfg.resonance
+    window = _int_key(r, "resonance", "window")
     spec = control.labelled_spectrum(cfg.model)
-    window = int(r.get("window", spec.trust_cutoff))
+    window = spec.trust_cutoff if window is None else window
     spec.trust_cutoff = max(spec.trust_cutoff, window)
     graph = resonance.coupling_graph(
         spec,
@@ -235,14 +249,12 @@ def cmd_chain(cfg: RunConfig) -> int:
 def cmd_transfer(cfg: RunConfig) -> int:
     t = cfg.transfer
     try:
-        source = _level(t["source"], "transfer.source")
-        target = _level(t["target"], "transfer.target")
+        source = _level(t["source"], "transfer.source", cfg.model.n_fock)
+        target = _level(t["target"], "transfer.target", cfg.model.n_fock)
         delta = float(t["delta"])
     except KeyError as exc:
         raise ConfigError(f"missing key {exc.args[0]!r} in transfer") from None
-    window = t.get("window")
-    if window is not None and (not isinstance(window, int) or isinstance(window, bool)):
-        raise ConfigError(f"key 'transfer.window' must be an integer, got {window!r}")
+    window = _int_key(t, "transfer", "window")
     threshold = float(t.get("threshold", control.DEFAULT_THRESHOLD))
     report = control.transfer_experiment(
         cfg.model,
@@ -273,8 +285,10 @@ def cmd_degenerate(cfg: RunConfig) -> int:
             "requires the resonant model"
         )
     d = cfg.degenerate
-    window = int(d.get("window", 12))
-    j_max = int(d.get("j_max", 5))
+    window = _int_key(d, "degenerate", "window", 12)
+    j_max = _int_key(d, "degenerate", "j_max", 5)
+    if j_max + 1 >= cfg.model.n_fock:
+        raise ConfigError(f"key 'degenerate.j_max' = {j_max} needs n_fock > {j_max + 1}")
     h = 1e-3
     grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
     family = spectral.track_branches(cfg.model, grid)

@@ -141,15 +141,23 @@ def numeric_resonance_scan(
             f"window {window} exceeds trust cutoff {spectrum.trust_cutoff}"
         )
     w = spectrum.eigenvalues[:window]
-    pairs = list(itertools.combinations(range(window), 2))
-    raw = []
-    filtered = []
-    for (a, b) in itertools.combinations(pairs, 2):
-        diff = abs(abs(w[a[1]] - w[a[0]]) - abs(w[b[1]] - w[b[0]]))
-        if diff < tol:
-            raw.append((a, b, float(diff)))
-            if len(set(a) & set(b)) == 1:
-                filtered.append((a, b, float(diff)))
+    lo, hi = np.triu_indices(window, 1)  # level pairs in combinations order
+    gaps = np.abs(w[hi] - w[lo])
+    # Sorted, a gap colliding with s[i] follows it, at most fl(s[i] + tol): rounding
+    # is monotone, so fl(s[j] - s[i]) < tol implies s[j] <= fl(s[i] + tol).
+    order = np.argsort(gaps)
+    s = gaps[order]
+    n_next = np.searchsorted(s, s + tol, side="right") - np.arange(1, s.size + 1)
+    i = np.repeat(np.arange(s.size), n_next)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
+    a, b = np.minimum(order[i], order[j]), np.maximum(order[i], order[j])
+    diff = np.abs(gaps[a] - gaps[b])
+    keep = np.lexsort((b, a))  # the loop's (pair_a, pair_b) order
+    keep = keep[diff[keep] < tol]  # the loop's own predicate
+    a, b, diff = a[keep].tolist(), b[keep].tolist(), diff[keep].tolist()
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    raw = [(pairs[p], pairs[q], d) for p, q, d in zip(a, b, diff)]
+    filtered = [(pa, pb, d) for pa, pb, d in raw if len(set(pa) & set(pb)) == 1]
     return ScanReport(window, tol, raw, filtered)
 
 
@@ -342,35 +350,27 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    # (energy, slope, label) sorted ascending in energy
-    branches: list[tuple[float, float, BasisIndex]] = [(0.0, 0.0, BasisIndex(0, -1))]
-    j = 0
-    while len(branches) < window:
+    energy, slope, labels = [0.0], [0.0], [BasisIndex(0, -1)]  # ascending in energy
+    for j in range(window // 2):
         up, dn = degenerate_slopes(j)
-        branches.append((omega * (j + 1), up, BasisIndex(j, 1)))
-        branches.append((omega * (j + 1), dn, BasisIndex(j + 1, -1)))
-        j += 1
-    branches = branches[:window]
-
+        energy += [omega * (j + 1)] * 2
+        slope += [up, dn]
+        labels += [BasisIndex(j, 1), BasisIndex(j + 1, -1)]
+    labels = [str(lab) for lab in labels[:window]]
+    n = len(labels)
+    x = np.subtract.outer(energy[:n], energy[:n])  # x[c, d] = E_c - E_d
+    y = np.subtract.outer(slope[:n], slope[:n])
     violations = []
-    n_checked = 0
-    idx = range(len(branches))
-    for a, b in itertools.permutations(idx, 2):
-        for c, d in itertools.product(idx, idx):
-            if (a, b) == (c, d):
-                continue
-            n_checked += 1
-            e = (branches[a][0] - branches[b][0]) - (branches[c][0] - branches[d][0])
-            if abs(e) > _EXACT_TOL:
-                continue
-            sdiff = (branches[a][1] - branches[b][1]) - (
-                branches[c][1] - branches[d][1]
-            )
-            if abs(sdiff) <= _EXACT_TOL:
-                violations.append(tuple(str(branches[x][2]) for x in (a, b, c, d)))
+    for a, b in itertools.permutations(range(n), 2):
+        hit = ~(np.abs(x[a, b] - x) > _EXACT_TOL) & (np.abs(y[a, b] - y) <= _EXACT_TOL)
+        hit[a, b] = False
+        violations += [
+            (labels[a], labels[b], labels[c], labels[d])
+            for c, d in (divmod(k, n) for k in np.flatnonzero(hit).tolist())
+        ]
     return {
         "window": window,
-        "n_quadruples": n_checked,
+        "n_quadruples": n * (n - 1) * (n * n - 1),
         "violations": violations,
         "n_violations": len(violations),
     }

@@ -171,6 +171,53 @@ def test_transfer_window_must_be_integer(tmp_path, capsys, window):
     assert "transfer.window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_transfer_label_outside_truncation(tmp_path, capsys, key, n):
+    cfg = base_config(tmp_path, Omega=1.05, g=0.2, n_fock=16)
+    cfg["transfer"] = {
+        "source": {"n": 0, "s": -1},
+        "target": {"n": 1, "s": -1},
+        "delta": 0.02,
+    }
+    cfg["transfer"][key] = {"n": n, "s": 1}
+    code = main(["transfer", "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INPUT
+    assert f"transfer.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, block, key, value",
+    [
+        ("resonance", "resonance", "window", 12.7),
+        ("resonance", "resonance", "window", "abc"),
+        ("chain", "resonance", "window", 12.7),
+        ("chain", "resonance", "window", True),
+        ("degenerate", "degenerate", "window", 12.7),
+        ("degenerate", "degenerate", "window", "12"),
+        ("degenerate", "degenerate", "j_max", 2.5),
+        ("degenerate", "degenerate", "j_max", "abc"),
+    ],
+)
+def test_integer_keys(tmp_path, capsys, command, block, key, value):
+    cfg = base_config(tmp_path, Omega=1.0 if command == "degenerate" else 1.05, n_fock=32)
+    cfg[block] = {key: value}
+    code = main([command, "--config", write_config(tmp_path, cfg)])
+    assert code == EXIT_INPUT
+    assert f"{block}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j_max, expected", [(6, EXIT_OK), (7, EXIT_INPUT), (10, EXIT_INPUT)])
+def test_degenerate_j_max_outside_truncation(tmp_path, capsys, j_max, expected):
+    # j_max labels reach (j_max + 1, -1), so n_fock = 8 allows j_max <= 6
+    cfg = base_config(tmp_path, Omega=1.0, n_fock=8)
+    cfg["degenerate"] = {"j_max": j_max}
+    code = main(["degenerate", "--config", write_config(tmp_path, cfg)])
+    assert code == expected
+    if expected == EXIT_INPUT:
+        assert "degenerate.j_max" in capsys.readouterr().err
+
+
 def test_determinism(tmp_path):
     cfg = base_config(tmp_path, n_fock=16)
     path = write_config(tmp_path, cfg)

@@ -9,8 +9,9 @@ with BLAS pinned to one thread. For every output file it prints both exit
 codes, whether the bytes are equal and, per field (CSV column or JSON key
 path), the largest absolute difference and the number of sign flips.
 `--repeat N` runs the head tree N more times and reports whether its
-repeats are byte-identical. Exits 1 when a head repeat differs or the
-trees write different sets of files, else 0.
+repeats are byte-identical. Exits 1 when the runs of an operation end with
+different exit codes, a head repeat differs or the trees write different
+sets of files, else 0.
 """
 
 from __future__ import annotations
@@ -118,7 +119,12 @@ def main(argv: list[str] | None = None) -> int:
             for i, op in enumerate(workloads.build(name, args.seed)):
                 tag = f"{name}-op{i}-{op.command}"
                 rcs = {label: run_op(src, op, work / label / tag) for label, src in trees.items()}
-                print(f"{tag}: exit codes " + " ".join(f"{k}={v}" for k, v in rcs.items()))
+                same_rc = len(set(rcs.values())) == 1
+                ok = ok and same_rc
+                print(
+                    f"{tag}: exit codes " + " ".join(f"{k}={v}" for k, v in rcs.items())
+                    + ("" if same_rc else " DIFFER")
+                )
                 files = {label: sorted(p.name for p in (work / label / tag).iterdir()) for label in trees}
                 if len({tuple(f) for f in files.values()}) != 1:
                     print(f"  different file sets: {files}")
