@@ -1,15 +1,17 @@
 """The one writer behind every CSV and JSON file the package produces.
 
-Numbers are written with 17 significant digits, which read back
-bit-exactly; non-finite values are refused. Each file is written to a
-temporary sibling and renamed into place, so a reader never sees a partial
-file and a refused value leaves nothing behind.
+CSV numbers are written with 17 significant digits and JSON numbers as
+`json.dumps` writes them; both read back bit-exactly, and non-finite
+values are refused in both. Each file is written to a temporary sibling
+and renamed into place, so a reader never sees a partial file and a
+refused value leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 
@@ -24,6 +26,14 @@ def fmt(x) -> str:
     if not math.isfinite(x):
         raise RuntimeError(f"non-finite value {x} about to be written")
     return f"{x:.17g}"
+
+
+def dump_json(value) -> str:
+    """`json.dumps`, refusing NaN and infinities as `fmt` does."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"non-finite value about to be written: {exc}") from None
 
 
 def atomic_write(path: str | os.PathLike, text: str) -> None:

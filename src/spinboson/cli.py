@@ -1,4 +1,4 @@
-"""Command-line front end: config loading, dispatch, deterministic file output.
+"""Command-line front end: config checking, dispatch, deterministic file output.
 
 Usage: spinboson <command> --config <path> [overrides]
 
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control, perturbation, resonance, spectral
-from ._io import atomic_write, write_csv
+from ._io import atomic_write, dump_json, write_csv
 from .fockmodel import BasisIndex, ModelParams, build_control, tied
 
 EXIT_OK = 0
@@ -26,120 +26,137 @@ EXIT_INPUT = 2
 
 ENV_OUTPUT_DIR = "SPINBOSON_OUTPUT_DIR"
 
-COMMANDS = (
-    "spectrum",
-    "branches",
-    "perturb",
-    "resonance",
-    "chain",
-    "transfer",
-    "convergence",
-    "degenerate",
-)
+REQUIRED = object()
+
+# Every accepted key, top-level or "section.key", with its kind and default.
+# A None default is worked out by the command that reads the key. A REQUIRED
+# key must be given in `model`, and in the section named after the command.
+SCHEMA: dict[str, tuple[str, object]] = {
+    "output_dir": ("str", None),
+    "seed": ("int", 0),
+    "model.omega": ("float", REQUIRED),
+    "model.Omega": ("float", REQUIRED),
+    "model.g": ("float", REQUIRED),
+    "model.n_fock": ("int", REQUIRED),
+    "grid.g_min": ("float", -0.05),
+    "grid.g_max": ("float", 0.05),
+    "grid.n_points": ("int", 21),
+    "resonance.window": ("int", None),
+    "resonance.tol": ("float", None),
+    "resonance.g_samples": ("list[float]", None),
+    "resonance.n_samples": ("int", 10),
+    "resonance.g_min": ("float", 0.05),
+    "resonance.g_max": ("float", 0.5),
+    "resonance.floor": ("float", None),
+    "transfer.source": ("label", REQUIRED),
+    "transfer.target": ("label", REQUIRED),
+    "transfer.delta": ("float", REQUIRED),
+    "transfer.max_periods": ("int", control.DEFAULT_MAX_PERIODS),
+    "transfer.threshold": ("float", control.DEFAULT_THRESHOLD),
+    "transfer.window": ("int", None),
+    "convergence.sizes": ("list[int]", (32, 64, 128)),
+    "convergence.tol": ("float", 1e-8),
+    "perturb.window": ("float", perturbation.FIT_WINDOW),
+    "perturb.n_points": ("int", perturbation.FIT_POINTS),
+    "perturb.degree": ("int", perturbation.FIT_DEGREE),
+    "perturb.max_n": ("int", 5),
+    "degenerate.window": ("int", 12),
+    "degenerate.j_max": ("int", 5),
+}
+TOP_LEVEL = {key for key in SCHEMA if "." not in key}
+SECTIONS = {key.split(".")[0] for key in SCHEMA} - TOP_LEVEL
+
+KIND_TEXT = {
+    "int": "an integer",
+    "float": "a finite number",
+    "str": "a string",
+    "list[int]": "a list of integers",
+    "list[float]": "a list of finite numbers",
+    "label": 'a level label {"n": n >= 0, "s": +1 or -1}',
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_float(value) -> bool:
+    """A JSON number (integers too) that is finite as a float."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def _typed(key: str, kind: str, value):
+    """`value` as the key's kind; ConfigError naming the key if it is not one."""
+    if (kind == "int" and _is_int(value)) or (kind == "str" and isinstance(value, str)):
+        return value
+    if kind == "float" and _is_float(value):
+        return float(value)
+    if kind == "list[int]" and isinstance(value, list) and all(map(_is_int, value)):
+        return value
+    if kind == "list[float]" and isinstance(value, list) and all(map(_is_float, value)):
+        return [float(v) for v in value]
+    if kind == "label" and isinstance(value, dict) and set(value) == {"n", "s"}:
+        n, s = value["n"], value["s"]
+        if _is_int(n) and n >= 0 and _is_int(s) and s in (-1, 1):
+            return BasisIndex(n, s)
+    raise ConfigError(f"key {key!r} must be {KIND_TEXT[kind]}, got {value!r}")
+
+
+def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, object]:
+    """Every SCHEMA key's typed value, from `raw` and the non-None `flags`.
+
+    A JSON null counts as absent, and absent keys take their defaults. The
+    extra key "model" holds the ModelParams built from the model section.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the config must be a JSON object, got {raw!r}")
+    given = {}
+    for name, value in raw.items():
+        if name in TOP_LEVEL:
+            given[name] = value
+        elif name not in SECTIONS:
+            raise ConfigError(f"unknown key {name!r}")
+        elif isinstance(value, dict):
+            given.update((f"{name}.{key}", v) for key, v in value.items())
+        elif value is not None:
+            raise ConfigError(f"key {name!r} must be an object, got {value!r}")
+    given.update((key, v) for key, v in flags.items() if v is not None)
+    unknown = sorted(set(given) - set(SCHEMA))
     if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-
-
-def _level(d: dict, where: str, n_fock: int) -> BasisIndex:
-    _reject_unknown(d, {"n", "s"}, where)
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+    values = {}
+    for key, (kind, default) in SCHEMA.items():
+        if given.get(key) is not None:
+            values[key] = _typed(key, kind, given[key])
+        elif default is not REQUIRED:
+            values[key] = default
+        elif key.split(".")[0] in ("model", command):
+            raise ConfigError(f"missing key {key!r}")
+        else:
+            values[key] = None
+    model = [values[f"model.{key}"] for key in ("omega", "Omega", "g", "n_fock")]
     try:
-        label = BasisIndex(int(d["n"]), int(d["s"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc.args[0]!r} in {where}") from None
-    if label.n >= n_fock:
-        raise ConfigError(f"key {where!r} names {label}, outside n_fock = {n_fock}")
-    return label
+        values["model"] = ModelParams(*model)
+    except ValueError as exc:
+        raise ConfigError(f"key 'model': {exc}") from None
+    return values
 
 
-def _int_key(block: dict, where: str, key: str, default: int | None = None) -> int | None:
-    """block[key] if it is a JSON integer, default if absent or null."""
-    value = block.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"key '{where}.{key}' must be an integer, got {value!r}")
-    return value
+def _out(cfg: dict, name: str) -> str:
+    out = cfg["output_dir"]
+    out = os.environ.get(ENV_OUTPUT_DIR, ".") if out is None else out
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
-@dataclass
-class RunConfig:
-    model: ModelParams
-    output_dir: str = "."
-    seed: int = 0
-    grid: dict = field(default_factory=dict)
-    resonance: dict = field(default_factory=dict)
-    transfer: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
-    perturb: dict = field(default_factory=dict)
-    degenerate: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        allowed = {
-            "model",
-            "output_dir",
-            "seed",
-            "grid",
-            "resonance",
-            "transfer",
-            "convergence",
-            "perturb",
-            "degenerate",
-        }
-        _reject_unknown(d, allowed, "config")
-        if "model" not in d:
-            raise ConfigError("missing key 'model' in config")
-        try:
-            model = ModelParams.from_dict(d["model"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        _reject_unknown(d.get("grid", {}), {"g_min", "g_max", "n_points"}, "grid")
-        _reject_unknown(
-            d.get("resonance", {}),
-            {"window", "tol", "g_samples", "n_samples", "g_min", "g_max", "floor"},
-            "resonance",
-        )
-        _reject_unknown(
-            d.get("transfer", {}),
-            {"source", "target", "delta", "max_periods", "threshold", "window"},
-            "transfer",
-        )
-        _reject_unknown(d.get("convergence", {}), {"sizes", "tol"}, "convergence")
-        _reject_unknown(
-            d.get("perturb", {}),
-            {"window", "n_points", "degree", "max_n"},
-            "perturb",
-        )
-        _reject_unknown(d.get("degenerate", {}), {"window", "j_max"}, "degenerate")
-        out = d.get("output_dir", os.environ.get(ENV_OUTPUT_DIR, "."))
-        return cls(
-            model=model,
-            output_dir=out,
-            seed=int(d.get("seed", 0)),
-            grid=d.get("grid", {}),
-            resonance=d.get("resonance", {}),
-            transfer=d.get("transfer", {}),
-            convergence=d.get("convergence", {}),
-            perturb=d.get("perturb", {}),
-            degenerate=d.get("degenerate", {}),
-        )
-
-
-def _out(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
-
-
-def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = control.labelled_spectrum(cfg.model)
+def cmd_spectrum(cfg: dict) -> int:
+    spec = control.labelled_spectrum(cfg["model"])
     rows = []
     for k, e in enumerate(spec.eigenvalues):
         lab = spec.labels.get(k)
@@ -151,92 +168,89 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _grid_from_config(cfg: RunConfig) -> np.ndarray:
-    g = cfg.grid
-    lo = float(g.get("g_min", -0.05))
-    hi = float(g.get("g_max", 0.05))
-    n = int(g.get("n_points", 21))
-    grid = np.linspace(lo, hi, n)
+def cmd_branches(cfg: dict) -> int:
+    grid = np.linspace(cfg["grid.g_min"], cfg["grid.g_max"], cfg["grid.n_points"])
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
-    return grid
-
-
-def cmd_branches(cfg: RunConfig) -> int:
-    grid = _grid_from_config(cfg)
-    spectral.track_branches(cfg.model, grid).to_csv(_out(cfg, "branches.csv"))
+    spectral.track_branches(cfg["model"], grid).to_csv(_out(cfg, "branches.csv"))
     return EXIT_OK
 
 
-def cmd_perturb(cfg: RunConfig) -> int:
-    if tied(cfg.model.omega, cfg.model.Omega):
+def cmd_perturb(cfg: dict) -> int:
+    model = cfg["model"]
+    if tied(model.omega, model.Omega):
         raise ConfigError(
             "omega = Omega in key 'model.Omega': use the `degenerate` command"
         )
-    p = cfg.perturb
-    max_n = int(p.get("max_n", 5))
+    max_n = cfg["perturb.max_n"]
     levels = [BasisIndex(n, s) for n in range(max_n + 1) for s in (1, -1)]
     rows = perturbation.build_table(
-        cfg.model,
+        model,
         levels,
-        window=float(p.get("window", perturbation.FIT_WINDOW)),
-        n_points=int(p.get("n_points", perturbation.FIT_POINTS)),
-        degree=int(p.get("degree", perturbation.FIT_DEGREE)),
+        window=cfg["perturb.window"],
+        n_points=cfg["perturb.n_points"],
+        degree=cfg["perturb.degree"],
     )
     perturbation.table_to_csv(rows, _out(cfg, "perturb.csv"))
     atomic_write(_out(cfg, "perturb.json"), perturbation.table_to_json(rows))
     return EXIT_OK
 
 
-def _g_samples(cfg: RunConfig) -> list[float]:
-    r = cfg.resonance
-    if "g_samples" in r:
-        return [float(g) for g in r["g_samples"]]
-    n = int(r.get("n_samples", 10))
-    lo = float(r.get("g_min", 0.05))
-    hi = float(r.get("g_max", 0.5))
-    if cfg.seed:
-        rng = np.random.default_rng(cfg.seed)
+def _g_samples(cfg: dict) -> list[float]:
+    if cfg["resonance.g_samples"] is not None:
+        return cfg["resonance.g_samples"]
+    n = cfg["resonance.n_samples"]
+    lo, hi = cfg["resonance.g_min"], cfg["resonance.g_max"]
+    if cfg["seed"]:
+        rng = np.random.default_rng(cfg["seed"])
         return sorted(float(g) for g in rng.uniform(lo, hi, n))
     return [float(g) for g in np.linspace(lo, hi, n)]
 
 
-def cmd_resonance(cfg: RunConfig) -> int:
-    r = cfg.resonance
-    window = _int_key(r, "resonance", "window", 12)
+def _resonance_window(cfg: dict, default: int) -> int:
+    """resonance.window, else `default`; refused beyond the matrix dimension."""
+    window, dim = cfg["resonance.window"], cfg["model"].dim
+    window = default if window is None else window
+    if window > dim:
+        raise ConfigError(f"key 'resonance.window' = {window} exceeds dimension {dim}")
+    return window
+
+
+def cmd_resonance(cfg: dict) -> int:
+    window = _resonance_window(cfg, 12)
     reports = []
     clean = True
     for g in _g_samples(cfg):
-        spec = control.labelled_spectrum(cfg.model.with_g(g))
+        spec = control.labelled_spectrum(cfg["model"].with_g(g))
         spec.trust_cutoff = max(spec.trust_cutoff, window)
-        tol = float(r.get("tol", 1e-9 * spec.spectral_diameter()))
+        tol = cfg["resonance.tol"]
+        tol = 1e-9 * spec.spectral_diameter() if tol is None else tol
         scan = resonance.numeric_resonance_scan(spec, window, tol)
         clean = clean and not scan.filtered
         reports.append({"g": g, "report": json.loads(scan.to_json())})
     atomic_write(
         _out(cfg, "resonance.json"),
-        json.dumps({"samples": reports, "all_clean": clean}),
+        dump_json({"samples": reports, "all_clean": clean}),
     )
     return EXIT_OK if clean else EXIT_CERTIFICATION
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    r = cfg.resonance
-    window = _int_key(r, "resonance", "window")
-    spec = control.labelled_spectrum(cfg.model)
-    window = spec.trust_cutoff if window is None else window
+def cmd_chain(cfg: dict) -> int:
+    model = cfg["model"]
+    window = _resonance_window(cfg, spectral.default_trust_cutoff(model.n_fock))
+    spec = control.labelled_spectrum(model)
     spec.trust_cutoff = max(spec.trust_cutoff, window)
     graph = resonance.coupling_graph(
         spec,
-        build_control(cfg.model),
-        floor=r.get("floor"),
-        tol=r.get("tol"),
+        build_control(model),
+        floor=cfg["resonance.floor"],
+        tol=cfg["resonance.tol"],
         window=window,
     )
     cert = resonance.certify_chain(graph)
     atomic_write(
         _out(cfg, "chain.json"),
-        json.dumps(
+        dump_json(
             {
                 "graph": json.loads(graph.to_json()),
                 "certificate": json.loads(cert.to_json()),
@@ -246,23 +260,21 @@ def cmd_chain(cfg: RunConfig) -> int:
     return EXIT_OK if cert.connected else EXIT_CERTIFICATION
 
 
-def cmd_transfer(cfg: RunConfig) -> int:
-    t = cfg.transfer
-    try:
-        source = _level(t["source"], "transfer.source", cfg.model.n_fock)
-        target = _level(t["target"], "transfer.target", cfg.model.n_fock)
-        delta = float(t["delta"])
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc.args[0]!r} in transfer") from None
-    window = _int_key(t, "transfer", "window")
-    threshold = float(t.get("threshold", control.DEFAULT_THRESHOLD))
+def cmd_transfer(cfg: dict) -> int:
+    model = cfg["model"]
+    for key in ("transfer.source", "transfer.target"):
+        if cfg[key].n >= model.n_fock:
+            raise ConfigError(
+                f"key {key!r} names {cfg[key]}, outside n_fock = {model.n_fock}"
+            )
+    threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
-        cfg.model,
-        source,
-        target,
-        delta,
-        window=window,
-        max_periods=int(t.get("max_periods", control.DEFAULT_MAX_PERIODS)),
+        model,
+        cfg["transfer.source"],
+        cfg["transfer.target"],
+        cfg["transfer.delta"],
+        window=cfg["transfer.window"],
+        max_periods=cfg["transfer.max_periods"],
         threshold=threshold,
     )
     atomic_write(_out(cfg, "transfer.json"), report.to_json())
@@ -270,28 +282,27 @@ def cmd_transfer(cfg: RunConfig) -> int:
     return EXIT_OK if report.fidelity >= threshold else EXIT_CERTIFICATION
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
-    c = cfg.convergence
-    sizes = [int(n) for n in c.get("sizes", [32, 64, 128])]
-    report = spectral.convergence_scan(cfg.model, sizes, tol=float(c.get("tol", 1e-8)))
+def cmd_convergence(cfg: dict) -> int:
+    report = spectral.convergence_scan(
+        cfg["model"], cfg["convergence.sizes"], tol=cfg["convergence.tol"]
+    )
     atomic_write(_out(cfg, "convergence.json"), report.to_json())
     return EXIT_OK
 
 
-def cmd_degenerate(cfg: RunConfig) -> int:
-    if not tied(cfg.model.omega, cfg.model.Omega):
+def cmd_degenerate(cfg: dict) -> int:
+    model = cfg["model"]
+    if not tied(model.omega, model.Omega):
         raise ConfigError(
             "omega != Omega in key 'model.Omega': the `degenerate` command "
             "requires the resonant model"
         )
-    d = cfg.degenerate
-    window = _int_key(d, "degenerate", "window", 12)
-    j_max = _int_key(d, "degenerate", "j_max", 5)
-    if j_max + 1 >= cfg.model.n_fock:
+    j_max = cfg["degenerate.j_max"]
+    if j_max + 1 >= model.n_fock:
         raise ConfigError(f"key 'degenerate.j_max' = {j_max} needs n_fock > {j_max + 1}")
     h = 1e-3
     grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
-    family = spectral.track_branches(cfg.model, grid)
+    family = spectral.track_branches(model, grid)
     slopes = []
     for j in range(j_max + 1):
         up, dn = perturbation.degenerate_slopes(j)
@@ -305,15 +316,28 @@ def cmd_degenerate(cfg: RunConfig) -> int:
                     "slope_numeric": float(numeric),
                 }
             )
-    check = resonance.degenerate_quadruple_check(window, cfg.model.omega)
+    check = resonance.degenerate_quadruple_check(cfg["degenerate.window"], model.omega)
     atomic_write(
         _out(cfg, "degenerate.json"),
-        json.dumps({"slopes": slopes, "quadruple_check": check}),
+        dump_json({"slopes": slopes, "quadruple_check": check}),
     )
     return EXIT_OK if check["n_violations"] == 0 else EXIT_CERTIFICATION
 
 
+COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "branches": cmd_branches,
+    "perturb": cmd_perturb,
+    "resonance": cmd_resonance,
+    "chain": cmd_chain,
+    "transfer": cmd_transfer,
+    "convergence": cmd_convergence,
+    "degenerate": cmd_degenerate,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The overrides are stored under the SCHEMA key they replace."""
     parser = argparse.ArgumentParser(
         prog="spinboson",
         description="Desk-scale controllability certification for the "
@@ -321,57 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--g", type=float, default=None, help="override model.g")
-    parser.add_argument(
-        "--n-fock", type=int, default=None, help="override model.n_fock"
-    )
-    parser.add_argument("--omega", type=float, default=None, help="override model.omega")
-    parser.add_argument("--Omega", type=float, default=None, help="override model.Omega")
-    parser.add_argument("--output-dir", default=None, help="override output_dir")
-    parser.add_argument("--seed", type=int, default=None, help="override seed")
+    for flag, key, kind in (
+        ("--g", "model.g", float),
+        ("--n-fock", "model.n_fock", int),
+        ("--omega", "model.omega", float),
+        ("--Omega", "model.Omega", float),
+        ("--output-dir", "output_dir", str),
+        ("--seed", "seed", int),
+    ):
+        parser.add_argument(flag, type=kind, dest=key, help=f"override {key}")
     return parser
 
 
-def run(command: str, cfg: RunConfig) -> int:
-    handler = {
-        "spectrum": cmd_spectrum,
-        "branches": cmd_branches,
-        "perturb": cmd_perturb,
-        "resonance": cmd_resonance,
-        "chain": cmd_chain,
-        "transfer": cmd_transfer,
-        "convergence": cmd_convergence,
-        "degenerate": cmd_degenerate,
-    }[command]
-    return handler(cfg)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("config")
     try:
-        with open(args.config) as f:
+        with open(path) as f:
             raw = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        cfg = RunConfig.from_dict(raw)
-        model = cfg.model.to_dict()
-        for key, value in (
-            ("g", args.g),
-            ("n_fock", args.n_fock),
-            ("omega", args.omega),
-            ("Omega", args.Omega),
-        ):
-            if value is not None:
-                model[key] = value
-        cfg.model = ModelParams.from_dict(model)
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
-        if args.seed is not None:
-            cfg.seed = args.seed
-        return run(args.command, cfg)
+        return COMMANDS[command](check_config(raw, command, flags))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT

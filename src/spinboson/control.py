@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import dump_json, write_csv
 from .fockmodel import BasisIndex, LabeledOperator, ModelParams, build_control, build_rabi
 from .resonance import (
     TransitionGraph,
@@ -29,6 +29,7 @@ from .spectral import (
     GridRefinementError,
     SolverError,
     Spectrum,
+    default_trust_cutoff,
     diagonalize,
     track_branches,
 )
@@ -83,7 +84,7 @@ class Pulse:
         write_csv(path, ["duration", "amplitude"], self.segments)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "delta": self.delta,
                 "segments": [[d, a] for d, a in self.segments],
@@ -189,8 +190,6 @@ def design_transfer(
     source: BasisIndex,
     target: BasisIndex,
     delta: float,
-    h0: LabeledOperator | None = None,
-    b: LabeledOperator | None = None,
     max_periods: int = DEFAULT_MAX_PERIODS,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[Pulse, float, list[dict]]:
@@ -210,10 +209,8 @@ def design_transfer(
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
         raise TransferError("design", "spectrum carries no model parameters")
-    if h0 is None:
-        h0 = build_rabi(spectrum.params)
-    if b is None:
-        b = build_control(spectrum.params)
+    h0 = build_rabi(spectrum.params)
+    b = build_control(spectrum.params)
 
     src = spectrum.level_of(source)
     tgt = spectrum.level_of(target)
@@ -283,7 +280,7 @@ class TransferReport:
     tracked_levels: list[int]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "params": self.params.to_dict(),
                 "source": {"n": self.source.n, "s": self.source.s},
@@ -305,7 +302,7 @@ class TransferReport:
         )
 
 
-def labelled_spectrum(params: ModelParams, n_steps: int = 21) -> Spectrum:
+def labelled_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum at params.g with labels carried by continuation from g = 0.
 
     Bare-basis overlap labelling degrades at strong coupling; continuation
@@ -314,7 +311,7 @@ def labelled_spectrum(params: ModelParams, n_steps: int = 21) -> Spectrum:
     if params.g == 0:
         return diagonalize(build_rabi(params), params)
     lo, hi = min(0.0, params.g), max(0.0, params.g)
-    grid = np.linspace(lo, hi, n_steps)
+    grid = np.linspace(lo, hi, 21)
     grid[0 if params.g < 0 else -1] = params.g
     family = track_branches(params, grid)
     gi = family.grid_index(params.g)
@@ -328,7 +325,7 @@ def labelled_spectrum(params: ModelParams, n_steps: int = 21) -> Spectrum:
         family.vectors[:, order, gi],
         labels,
         [],
-        params.n_fock // 4,
+        default_trust_cutoff(params.n_fock),
     )
 
 
@@ -362,7 +359,7 @@ def transfer_experiment(
             "certify", f"graph splits into {len(cert.components)} components"
         )
     pulse, predicted, edge_reports = design_transfer(
-        spectrum, graph, source, target, delta, h0, b, max_periods, threshold
+        spectrum, graph, source, target, delta, max_periods, threshold
     )
 
     tracked = sorted({spectrum.level_of(source), spectrum.level_of(target)} | {

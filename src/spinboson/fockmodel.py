@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import dump_json, write_csv
 
 __all__ = [
     "ModelParams",
@@ -95,7 +95,7 @@ class ModelParams:
         return cls(float(d["omega"]), float(d["Omega"]), float(d["g"]), int(d["n_fock"]))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return dump_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
@@ -156,7 +156,7 @@ class LabeledOperator:
         return np.array_equal(self.entries, self.entries.T)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "name": self.name,
                 "dim": self.dim,

@@ -8,14 +8,13 @@ forms are validated against polynomial fits of numerically tracked branches.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import dump_json, write_csv
 from .fockmodel import (
     BasisIndex,
     ModelParams,
@@ -246,7 +245,6 @@ def build_table(
     window: float = FIT_WINDOW,
     n_points: int = FIT_POINTS,
     degree: int = FIT_DEGREE,
-    branch: BranchFamily | None = None,
 ) -> list[PerturbationTable]:
     """Closed forms next to branch fits for the requested levels.
 
@@ -257,9 +255,7 @@ def build_table(
     _require_nondegenerate(omega, Omega)
     if levels is None:
         levels = [BasisIndex(n, s) for n in range(6) for s in (1, -1)]
-    if branch is None:
-        grid = np.linspace(-window, window, n_points)
-        branch = track_branches(params_base, grid)
+    branch = track_branches(params_base, np.linspace(-window, window, n_points))
     rows = []
     for lev in levels:
         fit = e_series_fit(branch, lev, degree)
@@ -292,4 +288,4 @@ def table_to_csv(rows: list[PerturbationTable], path: str | os.PathLike) -> None
 
 
 def table_to_json(rows: list[PerturbationTable]) -> str:
-    return json.dumps([row.to_dict() for row in rows])
+    return dump_json([row.to_dict() for row in rows])

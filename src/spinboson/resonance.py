@@ -14,14 +14,13 @@ report records that limitation.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import dump_json, write_csv
 from .fockmodel import BasisIndex, LabeledOperator, ModelParams, tied
 from .perturbation import e0_closed, e2_closed, e4_closed, degenerate_slopes
 from .spectral import Spectrum, track_branches
@@ -113,7 +112,7 @@ class ScanReport:
                 for a, b, d in rows
             ]
 
-        return json.dumps(
+        return dump_json(
             {
                 "window": self.window,
                 "tol": self.tol,
@@ -136,6 +135,8 @@ def numeric_resonance_scan(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if window > spectrum.dim:
+        raise ValueError(f"window {window} exceeds the dimension {spectrum.dim}")
     if window > spectrum.trust_cutoff:
         raise ValueError(
             f"window {window} exceeds trust cutoff {spectrum.trust_cutoff}"
@@ -188,7 +189,7 @@ class TransitionGraph:
         raise KeyError(f"no trusted node labelled {label}")
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "nodes": [
                     {"level": k, "n": lab.n, "s": lab.s} for k, lab in self.nodes
@@ -270,7 +271,7 @@ class ChainCertificate:
     components: list[list[int]]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "connected": self.connected,
                 "witness": [list(e) for e in self.witness],

@@ -15,7 +15,6 @@ the diabatic level. Each branch keeps a positive-overlap phase convention.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from ._io import write_csv
+from ._io import dump_json, write_csv
 from .fockmodel import (
     BasisIndex,
     LabeledOperator,
@@ -41,6 +40,7 @@ __all__ = [
     "BranchFamily",
     "SolverError",
     "GridRefinementError",
+    "default_trust_cutoff",
     "diagonalize",
     "track_branches",
     "hellmann_feynman_check",
@@ -132,11 +132,12 @@ def _attach_labels(
     return labels, ambiguous
 
 
-def diagonalize(
-    op: LabeledOperator,
-    params: ModelParams | None = None,
-    trust_cutoff: int | None = None,
-) -> Spectrum:
+def default_trust_cutoff(n_fock: int) -> int:
+    """Levels trusted when no convergence scan has set the cutoff."""
+    return n_fock // 4
+
+
+def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spectrum:
     """Dense symmetric eigensolve with labelling and residual certification."""
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
@@ -147,8 +148,7 @@ def diagonalize(
     _check_eigenpairs(op.entries @ v, w, v)
     at_zero = params is not None and params.g == 0
     labels, ambiguous = _attach_labels(v, op.basis, at_zero)
-    if trust_cutoff is None:
-        trust_cutoff = len(op.basis) // 2 // 4 if params is None else params.n_fock // 4
+    trust_cutoff = default_trust_cutoff(len(op.basis) // 2)
     return Spectrum(params, op.name, w, v, labels, ambiguous, trust_cutoff)
 
 
@@ -178,9 +178,6 @@ class BranchFamily:
 
     def energy(self, label: BasisIndex, g: float) -> float:
         return float(self.energies[self.branch_index(label), self.grid_index(g)])
-
-    def vector(self, label: BasisIndex, g: float) -> np.ndarray:
-        return self.vectors[:, self.branch_index(label), self.grid_index(g)]
 
     def to_csv(self, path: str | os.PathLike) -> None:
         write_csv(
@@ -376,7 +373,7 @@ class ConvergenceReport:
     trust_cutoff: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dump_json(
             {
                 "sizes": self.sizes,
                 "tol": self.tol,

@@ -110,6 +110,15 @@ def test_scan_respects_trust_cutoff():
         numeric_resonance_scan(spec, 4, 0.0)
 
 
+def test_scan_refuses_window_beyond_dimension():
+    p = ModelParams(1.0, 1.1, 0.0, 8)
+    spec = diagonalize(build_rabi(p), p)
+    spec.trust_cutoff = 40  # a widened trust must not reach past the matrix
+    with pytest.raises(ValueError, match="dimension 16"):
+        numeric_resonance_scan(spec, 40, 1e-9)
+    assert numeric_resonance_scan(spec, 16, 1e-9).window == 16
+
+
 def test_graph_at_zero_coupling():
     p = ModelParams(1.0, 1.1, 0.0, 64)
     spec = diagonalize(build_rabi(p), p)
