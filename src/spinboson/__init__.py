@@ -27,6 +27,7 @@ from .spectral import (
     convergence_scan,
     diagonalize,
     hellmann_feynman_check,
+    rabi_spectrum,
     track_branches,
 )
 from .perturbation import (

@@ -63,6 +63,22 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "degenerate.window": ("int", 12),
     "degenerate.j_max": ("int", 5),
 }
+# Lower bounds of the keys that have one: an int is at least its bound, a
+# float exceeds it, and a str or list has at least that many entries.
+MINIMUM: dict[str, int | float] = {
+    "output_dir": 1,
+    "grid.n_points": 1,
+    "resonance.window": 1,
+    "resonance.g_samples": 1,
+    "resonance.n_samples": 1,
+    "transfer.delta": 0.0,
+    "transfer.max_periods": 1,
+    "transfer.window": 1,
+    "convergence.sizes": 2,
+    "convergence.tol": 0.0,
+    "perturb.degree": 0,
+    "perturb.max_n": 0,
+}
 TOP_LEVEL = {key for key in SCHEMA if "." not in key}
 SECTIONS = {key.split(".")[0] for key in SCHEMA} - TOP_LEVEL
 
@@ -108,6 +124,22 @@ def _typed(key: str, kind: str, value):
     raise ConfigError(f"key {key!r} must be {KIND_TEXT[kind]}, got {value!r}")
 
 
+def _bounded(key: str, kind: str, value):
+    """`value`; ConfigError naming the key if it falls short of its MINIMUM."""
+    low = MINIMUM.get(key)
+    if low is None:
+        return value
+    if kind == "float":
+        ok, bound = value > low, f"> {low}"
+    elif kind == "int":
+        ok, bound = value >= low, f">= {low}"
+    else:
+        ok, bound = len(value) >= low, f"of length >= {low}"
+    if not ok:
+        raise ConfigError(f"key {key!r} must be {bound}, got {value!r}")
+    return value
+
+
 def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, object]:
     """Every SCHEMA key's typed value, from `raw` and the non-None `flags`.
 
@@ -133,7 +165,7 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
     values = {}
     for key, (kind, default) in SCHEMA.items():
         if given.get(key) is not None:
-            values[key] = _typed(key, kind, given[key])
+            values[key] = _bounded(key, kind, _typed(key, kind, given[key]))
         elif default is not REQUIRED:
             values[key] = default
         elif key.split(".")[0] in ("model", command):
@@ -207,21 +239,21 @@ def _g_samples(cfg: dict) -> list[float]:
     return [float(g) for g in np.linspace(lo, hi, n)]
 
 
-def _resonance_window(cfg: dict, default: int) -> int:
-    """resonance.window, else `default`; refused beyond the matrix dimension."""
-    window, dim = cfg["resonance.window"], cfg["model"].dim
+def _window(cfg: dict, key: str, default: int) -> int:
+    """The window under `key`, else `default`; refused beyond the matrix dimension."""
+    window, dim = cfg[key], cfg["model"].dim
     window = default if window is None else window
     if window > dim:
-        raise ConfigError(f"key 'resonance.window' = {window} exceeds dimension {dim}")
+        raise ConfigError(f"key {key!r} = {window} exceeds dimension {dim}")
     return window
 
 
 def cmd_resonance(cfg: dict) -> int:
-    window = _resonance_window(cfg, 12)
+    window = _window(cfg, "resonance.window", 12)
     reports = []
     clean = True
     for g in _g_samples(cfg):
-        spec = control.labelled_spectrum(cfg["model"].with_g(g))
+        spec = spectral.rabi_spectrum(cfg["model"].with_g(g))
         spec.trust_cutoff = max(spec.trust_cutoff, window)
         tol = cfg["resonance.tol"]
         tol = 1e-9 * spec.spectral_diameter() if tol is None else tol
@@ -237,7 +269,7 @@ def cmd_resonance(cfg: dict) -> int:
 
 def cmd_chain(cfg: dict) -> int:
     model = cfg["model"]
-    window = _resonance_window(cfg, spectral.default_trust_cutoff(model.n_fock))
+    window = _window(cfg, "resonance.window", spectral.default_trust_cutoff(model.n_fock))
     spec = control.labelled_spectrum(model)
     spec.trust_cutoff = max(spec.trust_cutoff, window)
     graph = resonance.coupling_graph(
@@ -267,13 +299,14 @@ def cmd_transfer(cfg: dict) -> int:
             raise ConfigError(
                 f"key {key!r} names {cfg[key]}, outside n_fock = {model.n_fock}"
             )
+    window = _window(cfg, "transfer.window", spectral.default_trust_cutoff(model.n_fock))
     threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
         model,
         cfg["transfer.source"],
         cfg["transfer.target"],
         cfg["transfer.delta"],
-        window=cfg["transfer.window"],
+        window=window,
         max_periods=cfg["transfer.max_periods"],
         threshold=threshold,
     )

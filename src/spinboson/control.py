@@ -322,7 +322,7 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
         params,
         "H_Rabi",
         energies[order],
-        family.vectors[:, order, gi],
+        family.vectors_at(gi)[:, order],
         labels,
         [],
         default_trust_cutoff(params.n_fock),

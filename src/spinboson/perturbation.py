@@ -188,8 +188,8 @@ def coupling_slope_fit(
     bk = branch.branch_index(k)
 
     def elem(g: float) -> float:
-        gi = branch.grid_index(g)
-        return float(branch.vectors[:, bj, gi] @ (b @ branch.vectors[:, bk, gi]))
+        vectors = branch.vectors_at(branch.grid_index(g))
+        return float(vectors[:, bj] @ (b @ vectors[:, bk]))
 
     return stencil_slope(elem, h)
 

@@ -1,12 +1,12 @@
 """Diagonalization, labelling and branch continuation over the coupling g.
 
 Eigenpairs of a generic operator at one point are labelled by maximal
-overlap with the product basis. Branches of H_Rabi over a g-grid use its
-parity symmetry instead: H_Rabi splits into two tridiagonal (Jacobi)
-chains (0,P), (1,-P), (2,P), ... for P = +-1, solved separately and
-embedded back into the 2N basis. Each chain's branches start from the
-g = 0 levels and keep their rank from one grid point to the next while
-every overlap clears the floor. An unreduced Jacobi matrix has a simple
+overlap with the product basis. H_Rabi uses its parity symmetry instead:
+it splits into two tridiagonal (Jacobi) chains (0,P), (1,-P), (2,P), ...
+for P = +-1, each solved on its own N rows. Its unlabelled spectrum at one
+g takes one solve per chain. Its branches over a g-grid start each chain
+from the g = 0 levels and keep their rank from one grid point to the next
+while every overlap clears the floor. An unreduced Jacobi matrix has a simple
 spectrum, so levels of one chain never cross for g != 0, but near odd
 resonances Omega ~ (2k+1) omega they pass through gaps of order g^(2k+1);
 there each branch takes the eigenvector of largest overlap, which follows
@@ -28,7 +28,6 @@ from .fockmodel import (
     LabeledOperator,
     ModelParams,
     basis_order,
-    build_rabi,
     degenerate_basis,
     photon_ladder,
     rabi_bands,
@@ -42,6 +41,7 @@ __all__ = [
     "GridRefinementError",
     "default_trust_cutoff",
     "diagonalize",
+    "rabi_spectrum",
     "track_branches",
     "hellmann_feynman_check",
     "stencil_slope",
@@ -154,18 +154,26 @@ def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spect
 
 @dataclass
 class BranchFamily:
-    """Label-consistent eigenpair curves of H_Rabi over a g-grid."""
+    """Label-consistent eigenpair curves of H_Rabi over a g-grid.
+
+    Per parity chain, `chains` holds its rows, its branch columns (indices
+    into `labels`) and the (n_grid, N, N) block of their vectors on those rows.
+    """
 
     params_base: ModelParams
     g_grid: np.ndarray
     labels: list[BasisIndex]
     energies: np.ndarray  # (n_branch, n_grid)
-    vectors: np.ndarray  # (dim, n_branch, n_grid)
+    chains: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     overlap_floor: float
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
+    def vectors_at(self, gi: int) -> np.ndarray:
+        """(2N, n_branch) eigenvectors at grid point gi, columns in branch order."""
+        n = len(self.labels)
+        vectors = np.zeros((n, n))
+        for rows, cols, block in self.chains:
+            vectors[rows[:, None], cols] = block[gi]
+        return vectors
 
     def branch_index(self, label: BasisIndex) -> int:
         return self.labels.index(label)
@@ -213,11 +221,26 @@ def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np
     return labels, vecs, energies
 
 
-def _chain_product(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenpairs of the chain with diagonal d and off-diagonal e."""
+    w, v = eigh_tridiagonal(d, e)
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]
     tv[1:] += e[:, None] * v[:-1]
-    return tv
+    _check_eigenpairs(tv, w, v)
+    return w, v
+
+
+def rabi_spectrum(params: ModelParams) -> Spectrum:
+    """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
+    diag, couplings = rabi_bands(params)
+    w = np.empty(params.dim)
+    v = np.zeros((params.dim, params.dim))
+    for rows in _chains(params.n_fock):
+        w[rows], v[rows[:, None], rows] = _solve_chain(diag[rows], couplings)
+    order = np.argsort(w)
+    trust_cutoff = default_trust_cutoff(params.n_fock)
+    return Spectrum(params, "H_Rabi", w[order], v[:, order], {}, [], trust_cutoff)
 
 
 def _continue_chain(
@@ -240,9 +263,7 @@ def _continue_chain(
     energies and sign-aligned vectors in branch order, the ranks and the
     worst overlap.
     """
-    e = g1 * c
-    w, v = eigh_tridiagonal(d, e)
-    _check_eigenpairs(_chain_product(d, e, v), w, v)
+    w, v = _solve_chain(d, g1 * c)
     rank = rank0
     overlap = np.einsum("ij,ij->j", v0, v[:, rank])
     if np.min(np.abs(overlap)) < floor:
@@ -286,11 +307,9 @@ def track_branches(
 
     labels, v_seed, e_seed = _seed_at_zero(params_base)
     c = photon_ladder(params_base.n_fock)
-    dim = params_base.dim
-    energies = np.empty((dim, len(grid)))
-    vectors = np.zeros((dim, dim, len(grid)))
+    energies = np.empty((params_base.dim, len(grid)))
     energies[:, i0] = e_seed
-    vectors[:, :, i0] = v_seed
+    chains = []
     floor_seen = 1.0
 
     for rows in _chains(params_base.n_fock):
@@ -298,8 +317,10 @@ def track_branches(
         # branch columns (label linear indices), in the g = 0 rank order that
         # the first step tries first
         cols = rows[np.argsort(d, kind="stable")]
+        block = np.empty((len(grid), len(rows), len(cols)))
+        block[i0] = v_seed[np.ix_(rows, cols)]
         for steps in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
-            v_prev = v_seed[np.ix_(rows, cols)]
+            v_prev = block[i0]
             rank = np.arange(len(rows))
             g_prev = 0.0
             for gi in steps:
@@ -307,11 +328,12 @@ def track_branches(
                     d, c, g_prev, v_prev, rank, float(grid[gi]), overlap_floor, max_refine
                 )
                 energies[cols, gi] = w
-                vectors[rows[:, None], cols, gi] = v
+                block[gi] = v
                 floor_seen = min(floor_seen, worst)
                 v_prev, g_prev = v, float(grid[gi])
+        chains.append((rows, cols, block))
 
-    return BranchFamily(params_base, grid, labels, energies, vectors, floor_seen)
+    return BranchFamily(params_base, grid, labels, energies, chains, floor_seen)
 
 
 def stencil_slope(f, h: float) -> float:
@@ -328,26 +350,23 @@ def hellmann_feynman_check(
     """Compare dE/dg (finite differences) against the Rayleigh value <v, V v>.
 
     Uses a 4th-order centered stencil with step h = 1e-3 * max(1, |g|); each
-    stencil point is diagonalized fresh and matched to the branch by overlap.
+    stencil point is solved fresh (`rabi_spectrum`) and matched by overlap.
     """
     gi = branch.grid_index(g)
     if gi == 0 or gi == len(branch.g_grid) - 1:
         if len(branch.g_grid) > 1:
             raise ValueError("g must be interior to the branch grid")
     h = 1e-3 * max(1.0, abs(g))
-    params = branch.params_base
 
-    stencil = {
-        d: np.linalg.eigh(build_rabi(params.with_g(g + d)).entries)
-        for d in (-2 * h, -h, h, 2 * h)
-    }
+    vectors = branch.vectors_at(gi)
+
+    def energies(d: float) -> np.ndarray:
+        spec = rabi_spectrum(branch.params_base.with_g(g + d))
+        return spec.eigenvalues[np.argmax(np.abs(vectors.T @ spec.eigenvectors), axis=1)]
 
     rows = []
     v_mat = v_op.entries
-    for b, lab in enumerate(branch.labels):
-        vec = branch.vectors[:, b, gi]
-        e_at = {d: w[int(np.argmax(np.abs(vec @ v)))] for d, (w, v) in stencil.items()}
-        fd = stencil_slope(e_at.get, h)
+    for lab, vec, fd in zip(branch.labels, vectors.T, stencil_slope(energies, h)):
         rayleigh = float(vec @ (v_mat @ vec))
         disc = abs(fd - rayleigh)
         rows.append(

@@ -34,13 +34,14 @@ def test_track_branches_properties(n_fock, Omega, step, n_lo, n_hi):
     fam = track_branches(p, grid)
 
     assert fam.labels == basis_order(n_fock)
+    vectors = np.stack([fam.vectors_at(gi) for gi in range(len(grid))], axis=-1)
     parity = np.diag(build_parity(p).entries)
     for b, lab in enumerate(fam.labels):
         # every branch lives on the sector of its label
-        assert not np.any(fam.vectors[parity != parity[lab.k], b, :])
+        assert not np.any(vectors[parity != parity[lab.k], b, :])
     # consecutive overlaps along each branch are positive (steps are kept
     # small: across a step the tracker had to halve, only the halves are aligned)
-    overlaps = np.einsum("kbg,kbg->bg", fam.vectors[:, :, :-1], fam.vectors[:, :, 1:])
+    overlaps = np.einsum("kbg,kbg->bg", vectors[:, :, :-1], vectors[:, :, 1:])
     assert np.all(overlaps > 0)
     for sector in (1, -1):
         # the spectrum of each sector is simple off g = 0
