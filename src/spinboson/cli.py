@@ -76,7 +76,7 @@ MINIMUM: dict[str, int | float] = {
     "transfer.window": 1,
     "convergence.sizes": 2,
     "convergence.tol": 0.0,
-    "perturb.degree": 0,
+    "perturb.degree": 4,  # the table reads the fit up to E4
     "perturb.max_n": 0,
 }
 TOP_LEVEL = {key for key in SCHEMA if "." not in key}
@@ -159,6 +159,8 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
         elif value is not None:
             raise ConfigError(f"key {name!r} must be an object, got {value!r}")
     given.update((key, v) for key, v in flags.items() if v is not None)
+    if given.get("output_dir") is None:
+        given["output_dir"] = os.environ.get(ENV_OUTPUT_DIR, ".")
     unknown = sorted(set(given) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
@@ -181,10 +183,8 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
 
 
 def _out(cfg: dict, name: str) -> str:
-    out = cfg["output_dir"]
-    out = os.environ.get(ENV_OUTPUT_DIR, ".") if out is None else out
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    return os.path.join(cfg["output_dir"], name)
 
 
 def cmd_spectrum(cfg: dict) -> int:
@@ -239,22 +239,23 @@ def _g_samples(cfg: dict) -> list[float]:
     return [float(g) for g in np.linspace(lo, hi, n)]
 
 
-def _window(cfg: dict, key: str, default: int) -> int:
-    """The window under `key`, else `default`; refused beyond the matrix dimension."""
-    window, dim = cfg[key], cfg["model"].dim
-    window = default if window is None else window
-    if window > dim:
-        raise ConfigError(f"key {key!r} = {window} exceeds dimension {dim}")
+def _window(cfg: dict, key: str, default: int, trust: int, g: float) -> int:
+    """The window under `key`, else `default` cut to `trust`; refused outside 1..trust."""
+    window = min(default, trust) if cfg[key] is None else cfg[key]
+    if not 1 <= window <= trust:
+        raise ConfigError(
+            f"key {key!r}: window {window} must be >= 1 and within the {trust} "
+            f"levels the convergence scan trusts at g = {g}"
+        )
     return window
 
 
 def cmd_resonance(cfg: dict) -> int:
-    window = _window(cfg, "resonance.window", 12)
     reports = []
     clean = True
     for g in _g_samples(cfg):
         spec = spectral.rabi_spectrum(cfg["model"].with_g(g))
-        spec.trust_cutoff = max(spec.trust_cutoff, window)
+        window = _window(cfg, "resonance.window", 12, spec.trust_cutoff, g)
         tol = cfg["resonance.tol"]
         tol = 1e-9 * spec.spectral_diameter() if tol is None else tol
         scan = resonance.numeric_resonance_scan(spec, window, tol)
@@ -269,9 +270,9 @@ def cmd_resonance(cfg: dict) -> int:
 
 def cmd_chain(cfg: dict) -> int:
     model = cfg["model"]
-    window = _window(cfg, "resonance.window", spectral.default_trust_cutoff(model.n_fock))
     spec = control.labelled_spectrum(model)
-    spec.trust_cutoff = max(spec.trust_cutoff, window)
+    default = spectral.default_window(model.n_fock)
+    window = _window(cfg, "resonance.window", default, spec.trust_cutoff, model.g)
     graph = resonance.coupling_graph(
         spec,
         build_control(model),
@@ -299,7 +300,9 @@ def cmd_transfer(cfg: dict) -> int:
             raise ConfigError(
                 f"key {key!r} names {cfg[key]}, outside n_fock = {model.n_fock}"
             )
-    window = _window(cfg, "transfer.window", spectral.default_trust_cutoff(model.n_fock))
+    default = spectral.default_window(model.n_fock)
+    trust = spectral.trusted_levels(model)
+    window = _window(cfg, "transfer.window", default, trust, model.g)
     threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
         model,

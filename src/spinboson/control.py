@@ -29,9 +29,10 @@ from .spectral import (
     GridRefinementError,
     SolverError,
     Spectrum,
-    default_trust_cutoff,
+    default_window,
     diagonalize,
     track_branches,
+    trusted_levels,
 )
 
 __all__ = [
@@ -325,7 +326,7 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
         family.vectors_at(gi)[:, order],
         labels,
         [],
-        default_trust_cutoff(params.n_fock),
+        trusted_levels(params),
     )
 
 
@@ -349,6 +350,7 @@ def transfer_experiment(
         raise TransferError("diagonalize", str(exc)) from exc
     h0 = build_rabi(params)
     b = build_control(params)
+    window = default_window(params.n_fock) if window is None else window
     try:
         graph = coupling_graph(spectrum, b, window=window)
     except ValueError as exc:

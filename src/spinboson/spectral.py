@@ -39,7 +39,8 @@ __all__ = [
     "BranchFamily",
     "SolverError",
     "GridRefinementError",
-    "default_trust_cutoff",
+    "default_window",
+    "trusted_levels",
     "diagonalize",
     "rabi_spectrum",
     "track_branches",
@@ -132,9 +133,14 @@ def _attach_labels(
     return labels, ambiguous
 
 
-def default_trust_cutoff(n_fock: int) -> int:
-    """Levels trusted when no convergence scan has set the cutoff."""
+def default_window(n_fock: int) -> int:
+    """Levels a coupling graph covers when no window is given."""
     return n_fock // 4
+
+
+def trusted_levels(params: ModelParams) -> int:
+    """Levels of H_Rabi at params.g that the convergence scan at [N, 2N] trusts."""
+    return convergence_scan(params, [params.n_fock, 2 * params.n_fock]).trust_cutoff
 
 
 def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spectrum:
@@ -148,7 +154,8 @@ def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spect
     _check_eigenpairs(op.entries @ v, w, v)
     at_zero = params is not None and params.g == 0
     labels, ambiguous = _attach_labels(v, op.basis, at_zero)
-    trust_cutoff = default_trust_cutoff(len(op.basis) // 2)
+    # a bare operator makes no truncation claim
+    trust_cutoff = op.dim if params is None else trusted_levels(params)
     return Spectrum(params, op.name, w, v, labels, ambiguous, trust_cutoff)
 
 
@@ -239,7 +246,7 @@ def rabi_spectrum(params: ModelParams) -> Spectrum:
     for rows in _chains(params.n_fock):
         w[rows], v[rows[:, None], rows] = _solve_chain(diag[rows], couplings)
     order = np.argsort(w)
-    trust_cutoff = default_trust_cutoff(params.n_fock)
+    trust_cutoff = trusted_levels(params)
     return Spectrum(params, "H_Rabi", w[order], v[:, order], {}, [], trust_cutoff)
 
 
