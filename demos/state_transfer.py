@@ -1,8 +1,9 @@
 """Drive population between dressed eigenstates with a bang-bang pulse.
 
 The full pipeline: diagonalize with continuation labelling, build the
-coupling graph, certify a non-resonant chain, design a resonant bang-bang
-pulse along the witness path, and propagate it exactly segment by segment.
+coupling graph, certify a non-resonant chain, and design a resonant
+bang-bang pulse along the witness path. The design sweep propagates exactly
+segment by segment and also yields the populations, so nothing is replayed.
 Writes populations.csv (time series of tracked level populations).
 """
 

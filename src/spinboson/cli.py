@@ -19,6 +19,7 @@ import numpy as np
 from . import control, perturbation, resonance, spectral
 from ._io import atomic_write, dump_json, write_csv
 from .fockmodel import BasisIndex, ModelParams, build_control, tied
+from .spectral import GridRefinementError, SolverError
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -71,6 +72,7 @@ MINIMUM: dict[str, int | float] = {
     "resonance.window": 1,
     "resonance.g_samples": 1,
     "resonance.n_samples": 1,
+    "resonance.floor": 0.0,
     "transfer.delta": 0.0,
     "transfer.max_periods": 1,
     "transfer.window": 1,
@@ -201,9 +203,15 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_branches(cfg: dict) -> int:
-    grid = np.linspace(cfg["grid.g_min"], cfg["grid.g_max"], cfg["grid.n_points"])
+    lo, hi, n = cfg["grid.g_min"], cfg["grid.g_max"], cfg["grid.n_points"]
+    grid = np.linspace(lo, hi, n)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(
+            f"keys 'grid.g_min' = {lo} and 'grid.g_max' = {hi} with 'grid.n_points' "
+            f"= {n} give a g grid that is not strictly increasing"
+        )
     spectral.track_branches(cfg["model"], grid).to_csv(_out(cfg, "branches.csv"))
     return EXIT_OK
 
@@ -215,6 +223,8 @@ def cmd_perturb(cfg: dict) -> int:
             "omega = Omega in key 'model.Omega': use the `degenerate` command"
         )
     max_n = cfg["perturb.max_n"]
+    if max_n >= model.n_fock:
+        raise ConfigError(f"key 'perturb.max_n' = {max_n} needs n_fock > {max_n}")
     levels = [BasisIndex(n, s) for n in range(max_n + 1) for s in (1, -1)]
     rows = perturbation.build_table(
         model,
@@ -234,6 +244,11 @@ def _g_samples(cfg: dict) -> list[float]:
     n = cfg["resonance.n_samples"]
     lo, hi = cfg["resonance.g_min"], cfg["resonance.g_max"]
     if cfg["seed"]:
+        if lo > hi:
+            raise ConfigError(
+                f"key 'resonance.g_min' = {lo} exceeds 'resonance.g_max' = {hi}, "
+                "the range the seed draws from"
+            )
         rng = np.random.default_rng(cfg["seed"])
         return sorted(float(g) for g in rng.uniform(lo, hi, n))
     return [float(g) for g in np.linspace(lo, hi, n)]
@@ -407,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except control.TransferError as exc:
+    except (control.TransferError, GridRefinementError, SolverError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
 

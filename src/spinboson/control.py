@@ -206,6 +206,12 @@ def design_transfer(
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
     """
+    return _sweep(spectrum, graph, source, target, delta, max_periods, threshold)[:3]
+
+
+def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
+    """`design_transfer`'s three values, the population rows of the path levels
+    after each kept segment, those levels (sorted) and the final state."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
@@ -215,18 +221,22 @@ def design_transfer(
 
     src = spectrum.level_of(source)
     tgt = spectrum.level_of(target)
+    psi = spectrum.eigenvectors[:, src].astype(complex)
     if src == tgt:
-        return Pulse([], delta), 1.0, []
+        return Pulse([], delta), 1.0, [], [], [src], StateVector(psi, h0.basis)
 
     path = _witness_path(graph, src, tgt)
+    levels = sorted(path)
+    level_vecs = spectrum.eigenvectors[:, levels]
 
     # gaps of the mean Hamiltonian, matched to the H0 levels by overlap
     w_mean, v_mean = np.linalg.eigh(h0.entries + (delta / 2) * b.entries)
     match = np.argmax(np.abs(spectrum.eigenvectors.T @ v_mean), axis=1)
 
     prop = SegmentPropagator(h0, b, delta)
-    psi = spectrum.eigenvectors[:, src].astype(complex)
     segments: list[tuple[float, float]] = []
+    populations = []
+    t = 0.0
     edge_reports = []
     overall = 1.0
     for a, c in zip(path, path[1:]):
@@ -239,9 +249,11 @@ def design_transfer(
         best_count = 0
         best_state = psi
         cur = psi
+        amps = np.empty((2 * max_periods, len(levels)), dtype=complex)
         for seg in range(2 * max_periods):
             driven = seg % 2 == 0
             cur = prop.step(cur, half, delta if driven else 0.0)
+            amps[seg] = level_vecs.T @ cur
             if not driven:
                 # free evolution cannot change the fidelity to an H0 eigenstate,
                 # so only counts ending on a driven half-period are ranked
@@ -251,6 +263,8 @@ def design_transfer(
                 best_fid, best_count, best_state = fid, seg + 1, cur
         for seg in range(best_count):
             segments.append((half, delta if seg % 2 == 0 else 0.0))
+            t += half
+            populations.append({"t": t, "p": [float(abs(x) ** 2) for x in amps[seg]]})
         psi = best_state
         overall = best_fid
         edge_reports.append(
@@ -263,7 +277,8 @@ def design_transfer(
         )
         if best_fid < threshold:
             edge_reports[-1]["saturated_below_threshold"] = True
-    return Pulse(segments, delta), overall, edge_reports
+    final = StateVector(psi, h0.basis)
+    return Pulse(segments, delta), overall, edge_reports, populations, levels, final
 
 
 @dataclass
@@ -339,7 +354,8 @@ def transfer_experiment(
     max_periods: int = DEFAULT_MAX_PERIODS,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TransferReport:
-    """Full pipeline: diagonalize, graph, certify, design, propagate."""
+    """Full pipeline: diagonalize, graph, certify, design; the design sweep
+    also yields the populations and the final state, so nothing is replayed."""
     if source.s != target.s and params.g == 0:
         raise TransferError(
             "diagonalize", "cross-spin targets are unreachable at g = 0"
@@ -348,11 +364,9 @@ def transfer_experiment(
         spectrum = labelled_spectrum(params)
     except (SolverError, GridRefinementError, ValueError) as exc:
         raise TransferError("diagonalize", str(exc)) from exc
-    h0 = build_rabi(params)
-    b = build_control(params)
     window = default_window(params.n_fock) if window is None else window
     try:
-        graph = coupling_graph(spectrum, b, window=window)
+        graph = coupling_graph(spectrum, build_control(params), window=window)
     except ValueError as exc:
         raise TransferError("graph", str(exc)) from exc
     cert = certify_chain(graph)
@@ -360,26 +374,9 @@ def transfer_experiment(
         raise TransferError(
             "certify", f"graph splits into {len(cert.components)} components"
         )
-    pulse, predicted, edge_reports = design_transfer(
+    pulse, _, edge_reports, populations, tracked, final = _sweep(
         spectrum, graph, source, target, delta, max_periods, threshold
     )
-
-    tracked = sorted({spectrum.level_of(source), spectrum.level_of(target)} | {
-        lev for rep in edge_reports for lev in rep["edge"]
-    })
-    tracked_vecs = spectrum.eigenvectors[:, tracked]
-    populations = []
-
-    def record(t, psi):
-        populations.append(
-            {"t": t, "p": [float(abs(c) ** 2) for c in tracked_vecs.T @ psi.conj()]}
-        )
-
-    psi0 = StateVector(
-        spectrum.eigenvectors[:, spectrum.level_of(source)].astype(complex),
-        h0.basis,
-    )
-    final = propagate(h0, b, pulse, psi0, record=record)
     fidelity = final.fidelity(
         spectrum.eigenvectors[:, spectrum.level_of(target)].astype(complex)
     )

@@ -234,3 +234,18 @@ def test_outputs_are_finite(tmp_path):
     with open(tmp_path / "out" / "spectrum.csv") as f:
         for row in csv.DictReader(f):
             assert math.isfinite(float(row["eigenvalue"]))
+
+
+@pytest.mark.parametrize(
+    "command, g, sections",
+    [("spectrum", 1e-17, {}), ("branches", 0.0, {"grid": {"g_max": 1e-17}})],
+)
+def test_untrackable_tiny_coupling_is_a_certification_failure(
+    tmp_path, capsys, command, g, sections
+):
+    # at omega = Omega a coupling this small is below what the chain solver
+    # resolves, and the branch tracker refuses it
+    cfg = {**base_config(tmp_path, Omega=1.0, g=g), **sections}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CERTIFICATION
+    assert capsys.readouterr().err.startswith("certification failure: overlap")
+    assert not (tmp_path / "out").exists()

@@ -17,7 +17,6 @@ from spinboson.cli import (  # noqa: E402
     EXIT_OK,
     main,
 )
-from spinboson.spectral import GridRefinementError  # noqa: E402
 
 EXIT_CODES = (EXIT_OK, EXIT_CERTIFICATION, EXIT_INPUT)
 TRANSFER = {"source": {"n": 0, "s": -1}, "target": {"n": 1, "s": -1}, "delta": 0.02}
@@ -34,7 +33,7 @@ def run(command: str, cfg: dict) -> int:
 
 
 # At omega = Omega a coupling in (0, ~1e-16] is below what the chain solver
-# resolves, and branch tracking refuses it (pinned by the xfail below); such
+# resolves, and branch tracking refuses it (exit 1, pinned below); such
 # couplings are left out of the draws.
 coupling = st.floats(-1.0, 1.0).filter(lambda g: g == 0 or abs(g) >= 1e-12)
 window = st.none() | st.integers(1, 24)
@@ -112,7 +111,6 @@ def test_valid_small_configs_end_in_an_exit_code(command, cfg):
     assert run(command, cfg) in EXIT_CODES
 
 
-@pytest.mark.xfail(raises=GridRefinementError, strict=True)
 def test_tied_model_at_a_tiny_coupling_ends_in_an_exit_code():
     cfg = {
         "model": {"omega": 1.0, "Omega": 1.0, "g": 0.0, "n_fock": 2},

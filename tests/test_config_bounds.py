@@ -26,6 +26,7 @@ BELOW = [
     ("resonance", "resonance.n_samples", 0),
     ("resonance", "resonance.window", -1),
     ("resonance", "resonance.window", 0),
+    ("chain", "resonance.floor", 0.0),
     ("chain", "resonance.window", 0),
     ("branches", "grid.n_points", 0),
     ("transfer", "transfer.max_periods", 0),
@@ -70,6 +71,45 @@ def test_below_bound_refused_by_name(tmp_path, monkeypatch, capsys, command, key
 def test_at_bound_accepted(tmp_path, monkeypatch, command, key, value):
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, command, key, value) == EXIT_OK
+
+
+# (command, config sections, key): values each fine alone, refused together
+CROSS = [
+    ("perturb", {"perturb": {"max_n": 8}}, "perturb.max_n"),
+    ("branches", {"grid": {"g_min": 0.0, "g_max": 0.0}}, "grid.g_min"),
+    ("branches", {"grid": {"g_min": 0.05, "g_max": -0.05}}, "grid.g_min"),
+    ("resonance", {"seed": 3, "resonance": {"g_min": 0.5, "g_max": 0.05}}, "resonance.g_min"),
+]
+
+# their neighbours that run
+CROSS_ACCEPTED = [
+    ("perturb", {"perturb": {"max_n": 7}}),
+    ("branches", {"grid": {"g_min": 0.0, "g_max": 0.0, "n_points": 1}}),
+    ("branches", {"grid": {"g_min": 0.1, "g_max": 0.05, "n_points": 3}}),
+    ("resonance", {"resonance": {"g_min": 0.5, "g_max": 0.05, "n_samples": 2}}),
+]
+
+
+def run_sections(tmp_path, command: str, sections: dict) -> int:
+    cfg = {"model": dict(MODEL), "transfer": dict(TRANSFER), "output_dir": "out"}
+    cfg.update(sections)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path)])
+
+
+@pytest.mark.parametrize("command, sections, key", CROSS)
+def test_cross_key_error_names_the_key(tmp_path, monkeypatch, capsys, command, sections, key):
+    monkeypatch.chdir(tmp_path)
+    assert run_sections(tmp_path, command, sections) == EXIT_INPUT
+    assert f"'{key}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, sections", CROSS_ACCEPTED)
+def test_cross_key_neighbours_run(tmp_path, monkeypatch, command, sections):
+    monkeypatch.chdir(tmp_path)
+    assert run_sections(tmp_path, command, sections) == EXIT_OK
 
 
 def test_transfer_window_beyond_dimension_refused(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from spinboson import (
     propagate,
     transfer_experiment,
 )
-from spinboson.control import labelled_spectrum
+from spinboson.control import SegmentPropagator, labelled_spectrum
 
 P = ModelParams(1.0, 1.05, 0.2, 16)
 
@@ -216,3 +216,61 @@ def test_segment_counts_end_on_a_driven_half_period():
         assert report.edges
         for edge in report.edges:
             assert edge["n_segments"] == 0 or edge["n_segments"] % 2 == 1
+
+
+# (params, source, target, window, edges): ladder, cross-spin, a two-edge
+# path through levels [0, 1, 4], and the identity transfer
+ONE_PASS = [
+    (P, BasisIndex(0, -1), BasisIndex(1, -1), None, 1),
+    (ModelParams(1.0, 1.05, 0.2, 32), BasisIndex(0, -1), BasisIndex(0, 1), None, 1),
+    (P, BasisIndex(0, -1), BasisIndex(1, 1), 6, 2),
+    (ModelParams(1.0, 1.05, 0.2, 32), BasisIndex(0, -1), BasisIndex(0, -1), None, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "params, source, target, window, edges",
+    ONE_PASS,
+    ids=["ladder", "cross-spin", "two-edge", "identity"],
+)
+def test_transfer_propagates_once(monkeypatch, params, source, target, window, edges):
+    # the design sweep is the only propagation, and its populations and
+    # fidelity equal those of replaying the designed pulse with `propagate`
+    max_periods, delta = 300, 0.02
+    steps = []
+    step = SegmentPropagator.step
+
+    def counted(self, psi, duration, amplitude):
+        steps.append(duration)
+        return step(self, psi, duration, amplitude)
+
+    monkeypatch.setattr(SegmentPropagator, "step", counted)
+    report = transfer_experiment(
+        params, source, target, delta, window=window, max_periods=max_periods
+    )
+    monkeypatch.undo()
+    assert len(report.edges) == edges
+    assert len(steps) == 2 * max_periods * edges
+
+    spec = labelled_spectrum(params)
+    pulse = Pulse(
+        [
+            (edge["half_period"], delta if k % 2 == 0 else 0.0)
+            for edge in report.edges
+            for k in range(edge["n_segments"])
+        ],
+        delta,
+    )
+    tracked_vecs = spec.eigenvectors[:, report.tracked_levels]
+    populations = []
+
+    def record(t, psi):
+        populations.append(
+            {"t": t, "p": [float(abs(c) ** 2) for c in tracked_vecs.T @ psi.conj()]}
+        )
+
+    psi0 = eigenstate(spec, spec.level_of(source))
+    final = propagate(build_rabi(params), build_control(params), pulse, psi0, record)
+    assert populations == report.populations
+    target_vec = spec.eigenvectors[:, spec.level_of(target)].astype(complex)
+    assert final.fidelity(target_vec) == report.fidelity
