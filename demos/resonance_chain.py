@@ -15,9 +15,9 @@ from spinboson import (
     coupling_graph,
     diagonalize,
     build_rabi,
+    labelled_spectrum,
     numeric_resonance_scan,
 )
-from spinboson.control import labelled_spectrum
 
 base = ModelParams(omega=1.0, Omega=1.05, g=0.0, n_fock=64)
 window = 12

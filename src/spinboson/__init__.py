@@ -27,6 +27,7 @@ from .spectral import (
     convergence_scan,
     diagonalize,
     hellmann_feynman_check,
+    labelled_spectrum,
     rabi_spectrum,
     track_branches,
 )
@@ -60,7 +61,6 @@ from .control import (
     TransferError,
     TransferReport,
     design_transfer,
-    labelled_spectrum,
     propagate,
     transfer_experiment,
 )

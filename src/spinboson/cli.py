@@ -190,7 +190,7 @@ def _out(cfg: dict, name: str) -> str:
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    spec = control.labelled_spectrum(cfg["model"])
+    spec = spectral.labelled_spectrum(cfg["model"])
     rows = []
     for k, e in enumerate(spec.eigenvalues):
         lab = spec.labels.get(k)
@@ -202,8 +202,19 @@ def cmd_spectrum(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _g_range(cfg: dict, section: str) -> tuple[float, float]:
+    """The section's g_min and g_max, refused when g_max - g_min overflows."""
+    lo, hi = cfg[f"{section}.g_min"], cfg[f"{section}.g_max"]
+    if not math.isfinite(hi - lo):
+        raise ConfigError(
+            f"keys '{section}.g_min' = {lo} and '{section}.g_max' = {hi} span a "
+            "range wider than the largest float"
+        )
+    return lo, hi
+
+
 def cmd_branches(cfg: dict) -> int:
-    lo, hi, n = cfg["grid.g_min"], cfg["grid.g_max"], cfg["grid.n_points"]
+    (lo, hi), n = _g_range(cfg, "grid"), cfg["grid.n_points"]
     grid = np.linspace(lo, hi, n)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
@@ -242,7 +253,7 @@ def _g_samples(cfg: dict) -> list[float]:
     if cfg["resonance.g_samples"] is not None:
         return cfg["resonance.g_samples"]
     n = cfg["resonance.n_samples"]
-    lo, hi = cfg["resonance.g_min"], cfg["resonance.g_max"]
+    lo, hi = _g_range(cfg, "resonance")
     if cfg["seed"]:
         if lo > hi:
             raise ConfigError(
@@ -275,7 +286,7 @@ def cmd_resonance(cfg: dict) -> int:
         tol = 1e-9 * spec.spectral_diameter() if tol is None else tol
         scan = resonance.numeric_resonance_scan(spec, window, tol)
         clean = clean and not scan.filtered
-        reports.append({"g": g, "report": json.loads(scan.to_json())})
+        reports.append({"g": g, "report": scan.to_dict()})
     atomic_write(
         _out(cfg, "resonance.json"),
         dump_json({"samples": reports, "all_clean": clean}),
@@ -285,7 +296,7 @@ def cmd_resonance(cfg: dict) -> int:
 
 def cmd_chain(cfg: dict) -> int:
     model = cfg["model"]
-    spec = control.labelled_spectrum(model)
+    spec = spectral.labelled_spectrum(model)
     default = spectral.default_window(model.n_fock)
     window = _window(cfg, "resonance.window", default, spec.trust_cutoff, model.g)
     graph = resonance.coupling_graph(
@@ -298,12 +309,7 @@ def cmd_chain(cfg: dict) -> int:
     cert = resonance.certify_chain(graph)
     atomic_write(
         _out(cfg, "chain.json"),
-        dump_json(
-            {
-                "graph": json.loads(graph.to_json()),
-                "certificate": json.loads(cert.to_json()),
-            }
-        ),
+        dump_json({"graph": graph.to_dict(), "certificate": cert.to_dict()}),
     )
     return EXIT_OK if cert.connected else EXIT_CERTIFICATION
 
@@ -419,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return COMMANDS[command](check_config(raw, command, flags))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (control.TransferError, GridRefinementError, SolverError) as exc:

@@ -1,8 +1,8 @@
 """Piecewise-constant bilinear propagation and resonant state transfer.
 
-Each constant-control segment is propagated exactly through the
-eigendecomposition of H0 + u*B (cached per distinct amplitude), so there
-is no time-integration error. Transfers are driven bang-bang between
+Each constant-control segment is propagated exactly through the checked
+eigendecomposition of H0 + u*B (`dense_eigh`, cached per distinct amplitude),
+so there is no time-integration error. Transfers are driven bang-bang between
 u = 0 and u = delta at the gap frequency of the mean Hamiltonian
 H0 + (delta/2)*B, which removes the static Stark detuning of the drive.
 """
@@ -30,9 +30,8 @@ from .spectral import (
     SolverError,
     Spectrum,
     default_window,
-    diagonalize,
-    track_branches,
-    trusted_levels,
+    dense_eigh,
+    labelled_spectrum,
 )
 
 __all__ = [
@@ -136,7 +135,7 @@ class SegmentPropagator:
                 raise ValueError(
                     f"amplitude {amplitude} outside [0, {self.delta}]"
                 )
-            self._cache[amplitude] = np.linalg.eigh(self.h0 + amplitude * self.b)
+            self._cache[amplitude] = dense_eigh(self.h0 + amplitude * self.b, "H0 + u*B")
         return self._cache[amplitude]
 
     def step(self, psi: np.ndarray, duration: float, amplitude: float) -> np.ndarray:
@@ -191,22 +190,22 @@ def design_transfer(
     source: BasisIndex,
     target: BasisIndex,
     delta: float,
-    max_periods: int = DEFAULT_MAX_PERIODS,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[Pulse, float, list[dict]]:
     """Bang-bang pulse along the witness path from source to target.
 
     Each edge is driven by a square wave between 0 and delta whose
     half-period is pi over the corresponding gap of the mean Hamiltonian
     H0 + (delta/2)*B; the segment count per edge maximizes the fidelity to
-    the edge's far eigenstate within the period budget. Counts are 0 or
-    odd: a trailing zero-amplitude half-period would leave the fidelity
+    the edge's far eigenstate within DEFAULT_MAX_PERIODS periods. Counts are
+    0 or odd: a trailing zero-amplitude half-period would leave the fidelity
     unchanged, so only roundoff could prefer it.
 
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
     """
-    return _sweep(spectrum, graph, source, target, delta, max_periods, threshold)[:3]
+    return _sweep(
+        spectrum, graph, source, target, delta, DEFAULT_MAX_PERIODS, DEFAULT_THRESHOLD
+    )[:3]
 
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
@@ -230,7 +229,7 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     level_vecs = spectrum.eigenvectors[:, levels]
 
     # gaps of the mean Hamiltonian, matched to the H0 levels by overlap
-    w_mean, v_mean = np.linalg.eigh(h0.entries + (delta / 2) * b.entries)
+    w_mean, v_mean = dense_eigh(h0.entries + (delta / 2) * b.entries, "H0 + (delta/2)*B")
     match = np.argmax(np.abs(spectrum.eigenvectors.T @ v_mean), axis=1)
 
     prop = SegmentPropagator(h0, b, delta)
@@ -316,33 +315,6 @@ class TransferReport:
             ["t"] + [f"p{k}" for k in self.tracked_levels],
             ([row["t"], *row["p"]] for row in self.populations),
         )
-
-
-def labelled_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum at params.g with labels carried by continuation from g = 0.
-
-    Bare-basis overlap labelling degrades at strong coupling; continuation
-    along a g-grid recovers the analytic labelling.
-    """
-    if params.g == 0:
-        return diagonalize(build_rabi(params), params)
-    lo, hi = min(0.0, params.g), max(0.0, params.g)
-    grid = np.linspace(lo, hi, 21)
-    grid[0 if params.g < 0 else -1] = params.g
-    family = track_branches(params, grid)
-    gi = family.grid_index(params.g)
-    energies = family.energies[:, gi]
-    order = np.argsort(energies)
-    labels = {int(rank): family.labels[b] for rank, b in enumerate(order)}
-    return Spectrum(
-        params,
-        "H_Rabi",
-        energies[order],
-        family.vectors_at(gi)[:, order],
-        labels,
-        [],
-        trusted_levels(params),
-    )
 
 
 def transfer_experiment(

@@ -14,13 +14,12 @@ report records that limitation.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import dump_json, write_csv
+from ._io import dump_json
 from .fockmodel import BasisIndex, LabeledOperator, ModelParams, tied
 from .perturbation import e0_closed, e2_closed, e4_closed, degenerate_slopes
 from .spectral import Spectrum, track_branches
@@ -45,6 +44,7 @@ WINDOW_LIMITATION = (
 )
 
 _EXACT_TOL = 1e-12
+SCALING_GRID = np.geomspace(1e-3, 1e-2, 9)  # the g samples of `gap_scaling_exponent`
 
 
 @dataclass
@@ -105,22 +105,23 @@ class ScanReport:
     filtered: list[tuple[tuple[int, int], tuple[int, int], float]]
     limitation: str = WINDOW_LIMITATION
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def enc(rows):
             return [
                 {"pair_a": list(a), "pair_b": list(b), "difference": d}
                 for a, b, d in rows
             ]
 
-        return dump_json(
-            {
-                "window": self.window,
-                "tol": self.tol,
-                "raw_collisions": enc(self.raw),
-                "filtered_collisions": enc(self.filtered),
-                "limitation": self.limitation,
-            }
-        )
+        return {
+            "window": self.window,
+            "tol": self.tol,
+            "raw_collisions": enc(self.raw),
+            "filtered_collisions": enc(self.filtered),
+            "limitation": self.limitation,
+        }
+
+    def to_json(self) -> str:
+        return dump_json(self.to_dict())
 
 
 def numeric_resonance_scan(
@@ -188,51 +189,36 @@ class TransitionGraph:
                 return k
         raise KeyError(f"no trusted node labelled {label}")
 
-    def to_json(self) -> str:
-        return dump_json(
-            {
-                "nodes": [
-                    {"level": k, "n": lab.n, "s": lab.s} for k, lab in self.nodes
-                ],
-                "edges": [
-                    {
-                        "j": e.j,
-                        "k": e.k,
-                        "weight": e.weight,
-                        "non_resonant": e.non_resonant,
-                    }
-                    for e in self.edges
-                ],
-                "floor": self.floor,
-                "tol": self.tol,
-                "excluded_unlabelled": self.excluded,
-                "chain_witness": (
-                    None
-                    if self.chain_witness is None
-                    else [list(e) for e in self.chain_witness]
-                ),
-                "limitation": self.limitation,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "nodes": [{"level": k, "n": lab.n, "s": lab.s} for k, lab in self.nodes],
+            "edges": [
+                {"j": e.j, "k": e.k, "weight": e.weight, "non_resonant": e.non_resonant}
+                for e in self.edges
+            ],
+            "floor": self.floor,
+            "tol": self.tol,
+            "excluded_unlabelled": self.excluded,
+            "chain_witness": (
+                None
+                if self.chain_witness is None
+                else [list(e) for e in self.chain_witness]
+            ),
+            "limitation": self.limitation,
+        }
 
-    def to_csv(self, path: str | os.PathLike) -> None:
-        write_csv(
-            path,
-            ["j", "k", "weight", "non_resonant"],
-            ([e.j, e.k, e.weight, int(e.non_resonant)] for e in self.edges),
-        )
+    def to_json(self) -> str:
+        return dump_json(self.to_dict())
 
 
 def coupling_graph(
     spectrum: Spectrum,
     b_op: LabeledOperator,
+    window: int,
     floor: float | None = None,
     tol: float | None = None,
-    window: int | None = None,
 ) -> TransitionGraph:
-    """Graph of control couplings over the trusted window with resonance flags."""
-    if window is None:
-        window = spectrum.trust_cutoff
+    """Graph of control couplings over the lowest `window` levels with resonance flags."""
     if floor is None:
         floor = 1e-8 * float(np.linalg.norm(b_op.entries, 2))
     if floor <= 0:
@@ -270,14 +256,15 @@ class ChainCertificate:
     witness: list[tuple[int, int]]
     components: list[list[int]]
 
+    def to_dict(self) -> dict:
+        return {
+            "connected": self.connected,
+            "witness": [list(e) for e in self.witness],
+            "components": self.components,
+        }
+
     def to_json(self) -> str:
-        return dump_json(
-            {
-                "connected": self.connected,
-                "witness": [list(e) for e in self.witness],
-                "components": self.components,
-            }
-        )
+        return dump_json(self.to_dict())
 
 
 def adjacency(edges: list[tuple[int, int]]) -> dict[int, list[int]]:
@@ -383,21 +370,16 @@ def gap_scaling_exponent(
     j: BasisIndex,
     k: BasisIndex,
     l: BasisIndex,
-    g_lo: float = 1e-3,
-    g_hi: float = 1e-2,
-    n_points: int = 9,
 ) -> float:
-    """Log-log slope of |(E_i - E_j) - (E_k - E_l)| versus g on [g_lo, g_hi]."""
-    gs = np.geomspace(g_lo, g_hi, n_points)
-    grid = np.concatenate([[0.0], gs])
-    family = track_branches(params_base, grid)
+    """Log-log slope of |(E_i - E_j) - (E_k - E_l)| versus g over SCALING_GRID."""
+    family = track_branches(params_base, np.concatenate([[0.0], SCALING_GRID]))
     diffs = []
-    for g in gs:
+    for g in SCALING_GRID:
         d = (
             family.energy(i, g)
             - family.energy(j, g)
             - (family.energy(k, g) - family.energy(l, g))
         )
         diffs.append(abs(d))
-    slope = np.polyfit(np.log(gs), np.log(diffs), 1)[0]
+    slope = np.polyfit(np.log(SCALING_GRID), np.log(diffs), 1)[0]
     return float(slope)

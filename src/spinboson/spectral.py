@@ -1,12 +1,14 @@
-"""Diagonalization, labelling and branch continuation over the coupling g.
+"""Eigensolves, labelling and branch continuation over the coupling g.
 
-Eigenpairs of a generic operator at one point are labelled by maximal
-overlap with the product basis. H_Rabi uses its parity symmetry instead:
-it splits into two tridiagonal (Jacobi) chains (0,P), (1,-P), (2,P), ...
-for P = +-1, each solved on its own N rows. Its unlabelled spectrum at one
-g takes one solve per chain. Its branches over a g-grid start each chain
-from the g = 0 levels and keep their rank from one grid point to the next
-while every overlap clears the floor. An unreduced Jacobi matrix has a simple
+`dense_eigh` is the package's one dense symmetric eigensolve, with residual
+and orthonormality checks. Eigenpairs of a generic operator at one point are
+labelled by maximal overlap with the product basis. H_Rabi uses its parity
+symmetry instead: it splits into two tridiagonal (Jacobi) chains (0,P),
+(1,-P), (2,P), ... for P = +-1, each solved on its own N rows. Its
+unlabelled spectrum at one g takes one solve per chain; its labelled one is
+read off branches over a g-grid, which start each chain from the g = 0
+levels and keep their rank from one grid point to the next while every
+overlap clears the floor. An unreduced Jacobi matrix has a simple
 spectrum, so levels of one chain never cross for g != 0, but near odd
 resonances Omega ~ (2k+1) omega they pass through gaps of order g^(2k+1);
 there each branch takes the eigenvector of largest overlap, which follows
@@ -28,6 +30,7 @@ from .fockmodel import (
     LabeledOperator,
     ModelParams,
     basis_order,
+    build_rabi,
     degenerate_basis,
     photon_ladder,
     rabi_bands,
@@ -41,8 +44,10 @@ __all__ = [
     "GridRefinementError",
     "default_window",
     "trusted_levels",
+    "dense_eigh",
     "diagonalize",
     "rabi_spectrum",
+    "labelled_spectrum",
     "track_branches",
     "hellmann_feynman_check",
     "stencil_slope",
@@ -53,6 +58,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
+OVERLAP_FLOOR = 0.8  # continuation overlap below which a step is matched or bisected
+SLOPE_TOL = 1e-6  # Hellmann-Feynman slope discrepancy that still counts as ok
 
 
 class SolverError(RuntimeError):
@@ -143,15 +150,22 @@ def trusted_levels(params: ModelParams) -> int:
     return convergence_scan(params, [params.n_fock, 2 * params.n_fock]).trust_cutoff
 
 
+def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix, residual and orthonormality checked.
+    The solve reads one triangle only, so an asymmetric matrix fails the check."""
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"eigensolver did not converge on {name}") from exc
+    _check_eigenpairs(matrix @ v, w, v)
+    return w, v
+
+
 def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spectrum:
     """Dense symmetric eigensolve with labelling and residual certification."""
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
-    try:
-        w, v = np.linalg.eigh(op.entries)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver did not converge on {op.name}") from exc
-    _check_eigenpairs(op.entries @ v, w, v)
+    w, v = dense_eigh(op.entries, op.name)
     at_zero = params is not None and params.g == 0
     labels, ambiguous = _attach_labels(v, op.basis, at_zero)
     # a bare operator makes no truncation claim
@@ -238,6 +252,15 @@ def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _rabi_at(params: ModelParams, w, v, labels) -> Spectrum:
+    """H_Rabi at params.g from eigenpairs in any column order: sorted ascending,
+    column b labelled labels[b] unless labels is None, trusted per `trusted_levels`."""
+    order = np.argsort(w)
+    by_rank = {} if labels is None else {r: labels[b] for r, b in enumerate(order)}
+    w, v = w[order], v[:, order]
+    return Spectrum(params, "H_Rabi", w, v, by_rank, [], trusted_levels(params))
+
+
 def rabi_spectrum(params: ModelParams) -> Spectrum:
     """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
     diag, couplings = rabi_bands(params)
@@ -245,9 +268,7 @@ def rabi_spectrum(params: ModelParams) -> Spectrum:
     v = np.zeros((params.dim, params.dim))
     for rows in _chains(params.n_fock):
         w[rows], v[rows[:, None], rows] = _solve_chain(diag[rows], couplings)
-    order = np.argsort(w)
-    trust_cutoff = trusted_levels(params)
-    return Spectrum(params, "H_Rabi", w[order], v[:, order], {}, [], trust_cutoff)
+    return _rabi_at(params, w, v, None)
 
 
 def _continue_chain(
@@ -257,14 +278,13 @@ def _continue_chain(
     v0: np.ndarray,
     rank0: np.ndarray,
     g1: float,
-    floor: float,
     depth: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve one chain at g1 and match its eigenpairs to the branches v0 at g0.
 
     Branch j had rank rank0[j] at g0 and keeps it while every branch's
-    overlap clears `floor`. Otherwise each branch takes the eigenvector of
-    largest |overlap|; across a crossing too narrow to resolve on the step,
+    overlap clears OVERLAP_FLOOR. Otherwise each branch takes the eigenvector
+    of largest |overlap|; across a crossing too narrow to resolve on the step,
     this follows the diabatic level. If that is no permutation clearing the
     floor either, the step is halved, at most `depth` times. Returns the
     energies and sign-aligned vectors in branch order, the ranks and the
@@ -273,30 +293,25 @@ def _continue_chain(
     w, v = _solve_chain(d, g1 * c)
     rank = rank0
     overlap = np.einsum("ij,ij->j", v0, v[:, rank])
-    if np.min(np.abs(overlap)) < floor:
+    if np.min(np.abs(overlap)) < OVERLAP_FLOOR:
         m = v0.T @ v
         rank = np.argmax(np.abs(m), axis=1)
         overlap = m[np.arange(len(rank)), rank]
     worst = float(np.min(np.abs(overlap)))
-    if worst >= floor and len(np.unique(rank)) == len(rank):
+    if worst >= OVERLAP_FLOOR and len(np.unique(rank)) == len(rank):
         return w[rank], v[:, rank] * np.where(overlap < 0, -1.0, 1.0), rank, worst
     if depth <= 0:
         raise GridRefinementError(
-            f"overlap {worst:.3f} below floor {floor} between g={g0} and g={g1} "
-            "after maximal bisection; refine the grid near this interval"
+            f"overlap {worst:.3f} below floor {OVERLAP_FLOOR} between g={g0} and "
+            f"g={g1} after maximal bisection; refine the grid near this interval"
         )
     gm = 0.5 * (g0 + g1)
-    _, vm, rm, o1 = _continue_chain(d, c, g0, v0, rank0, gm, floor, depth - 1)
-    w1, v1, r1, o2 = _continue_chain(d, c, gm, vm, rm, g1, floor, depth - 1)
+    _, vm, rm, o1 = _continue_chain(d, c, g0, v0, rank0, gm, depth - 1)
+    w1, v1, r1, o2 = _continue_chain(d, c, gm, vm, rm, g1, depth - 1)
     return w1, v1, r1, min(o1, o2)
 
 
-def track_branches(
-    params_base: ModelParams,
-    g_grid,
-    overlap_floor: float = 0.8,
-    max_refine: int = 6,
-) -> BranchFamily:
+def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> BranchFamily:
     """Track every eigenpair of H_Rabi over the grid, seeded at g = 0.
 
     Each parity chain is solved on its own, and its branches are continued
@@ -332,7 +347,7 @@ def track_branches(
             g_prev = 0.0
             for gi in steps:
                 w, v, rank, worst = _continue_chain(
-                    d, c, g_prev, v_prev, rank, float(grid[gi]), overlap_floor, max_refine
+                    d, c, g_prev, v_prev, rank, float(grid[gi]), max_refine
                 )
                 energies[cols, gi] = w
                 block[gi] = v
@@ -343,16 +358,29 @@ def track_branches(
     return BranchFamily(params_base, grid, labels, energies, chains, floor_seen)
 
 
+def labelled_spectrum(params: ModelParams) -> Spectrum:
+    """Spectrum at params.g with labels carried by continuation from g = 0.
+
+    Bare-basis overlap labelling degrades at strong coupling; continuation
+    along a g-grid recovers the analytic labelling.
+    """
+    if params.g == 0:
+        return diagonalize(build_rabi(params), params)
+    lo, hi = min(0.0, params.g), max(0.0, params.g)
+    grid = np.linspace(lo, hi, 21)
+    grid[0 if params.g < 0 else -1] = params.g
+    family = track_branches(params, grid)
+    gi = family.grid_index(params.g)
+    return _rabi_at(params, family.energies[:, gi], family.vectors_at(gi), family.labels)
+
+
 def stencil_slope(f, h: float) -> float:
     """Fourth-order centred first derivative at 0 of f, sampled at +-h and +-2h."""
     return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
 
 
 def hellmann_feynman_check(
-    branch: BranchFamily,
-    v_op: LabeledOperator,
-    g: float,
-    tol: float = 1e-6,
+    branch: BranchFamily, v_op: LabeledOperator, g: float
 ) -> list[dict]:
     """Compare dE/dg (finite differences) against the Rayleigh value <v, V v>.
 
@@ -383,7 +411,7 @@ def hellmann_feynman_check(
                 "fd_slope": fd,
                 "rayleigh": rayleigh,
                 "discrepancy": disc,
-                "ok": disc <= tol,
+                "ok": disc <= SLOPE_TOL,
             }
         )
     return rows

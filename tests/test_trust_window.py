@@ -1,5 +1,6 @@
 """CLI refusals: windows beyond the levels the convergence scan trusts, an empty
-output directory and a fit that stops short of E4."""
+output directory, a fit that stops short of E4 and a g range wider than the
+largest float."""
 
 import json
 import os
@@ -122,3 +123,25 @@ def test_fit_degree_below_e4_refused(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == ["config.json"]
     cfg["perturb"]["degree"] = 4
     assert run(tmp_path, "perturb", cfg) == EXIT_OK
+
+
+HUGE = {"g_min": -1e308, "g_max": 1e308}  # each finite, their difference is not
+
+
+@pytest.mark.parametrize(
+    "command, cfg, section",
+    [
+        ("resonance", {"model": model(8, 0.2), "seed": 7, "resonance": HUGE}, "resonance"),
+        ("resonance", {"model": model(8, 0.2), "resonance": HUGE}, "resonance"),
+        ("branches", {"model": model(8, 0.2), "grid": HUGE}, "grid"),
+    ],
+    ids=["resonance-seeded", "resonance-unseeded", "branches"],
+)
+def test_g_range_wider_than_a_float_refused(
+    tmp_path, monkeypatch, capsys, command, cfg, section
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, command, cfg) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"'{section}.g_min'" in err and f"'{section}.g_max'" in err
+    assert os.listdir(tmp_path) == ["config.json"]
