@@ -2,9 +2,12 @@
 
 Each constant-control segment is propagated exactly through the checked
 eigendecomposition of H0 + u*B (`dense_eigh`, cached per distinct amplitude),
-so there is no time-integration error. Transfers are driven bang-bang between
-u = 0 and u = delta at the gap frequency of the mean Hamiltonian
-H0 + (delta/2)*B, which removes the static Stark detuning of the drive.
+so there is no time-integration error. The eigenbasis is real, so a step
+runs in real arithmetic on the (re, im) pair of the state: two real matrix
+products with the complex phase applied between them. Transfers are driven
+bang-bang between u = 0 and u = delta at the gap frequency of the mean
+Hamiltonian H0 + (delta/2)*B, which removes the static Stark detuning of the
+drive.
 """
 
 from __future__ import annotations
@@ -119,7 +122,12 @@ class StateVector:
 
 
 class SegmentPropagator:
-    """Exact segment evolution with per-amplitude cached eigendecompositions."""
+    """Exact segment evolution with per-amplitude cached eigendecompositions.
+
+    `step` never forms a complex copy of the real eigenbasis: the state's
+    real and imaginary parts go through each basis change as the two columns
+    of one real matrix product.
+    """
 
     def __init__(self, h0: LabeledOperator, b: LabeledOperator, delta: float):
         if h0.dim != b.dim:
@@ -139,8 +147,12 @@ class SegmentPropagator:
         return self._cache[amplitude]
 
     def step(self, psi: np.ndarray, duration: float, amplitude: float) -> np.ndarray:
+        """exp(-i (H0 + u B) duration) psi as a new contiguous complex vector."""
         w, v = self._decomposition(amplitude)
-        return v @ (np.exp(-1j * w * duration) * (v.T @ psi))
+        # v is real: each product is one real GEMM on the (2N, 2) (re, im) columns
+        pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(-1, 2)
+        coeffs = (v.T @ pairs).view(complex).ravel() * np.exp(-1j * w * duration)
+        return (v @ coeffs.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def propagate(

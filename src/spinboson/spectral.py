@@ -261,14 +261,20 @@ def _rabi_at(params: ModelParams, w, v, labels) -> Spectrum:
     return Spectrum(params, "H_Rabi", w, v, by_rank, [], trusted_levels(params))
 
 
-def rabi_spectrum(params: ModelParams) -> Spectrum:
-    """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
+def _chain_eigenpairs(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenpairs of H_Rabi at params.g, one solve per chain, in
+    chain order (unsorted) and with no trust scan."""
     diag, couplings = rabi_bands(params)
     w = np.empty(params.dim)
     v = np.zeros((params.dim, params.dim))
     for rows in _chains(params.n_fock):
         w[rows], v[rows[:, None], rows] = _solve_chain(diag[rows], couplings)
-    return _rabi_at(params, w, v, None)
+    return w, v
+
+
+def rabi_spectrum(params: ModelParams) -> Spectrum:
+    """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
+    return _rabi_at(params, *_chain_eigenpairs(params), None)
 
 
 def _continue_chain(
@@ -385,7 +391,8 @@ def hellmann_feynman_check(
     """Compare dE/dg (finite differences) against the Rayleigh value <v, V v>.
 
     Uses a 4th-order centered stencil with step h = 1e-3 * max(1, |g|); each
-    stencil point is solved fresh (`rabi_spectrum`) and matched by overlap.
+    stencil point is solved fresh on the two chains, with no trust scan, and
+    matched by overlap.
     """
     gi = branch.grid_index(g)
     if gi == 0 or gi == len(branch.g_grid) - 1:
@@ -396,8 +403,8 @@ def hellmann_feynman_check(
     vectors = branch.vectors_at(gi)
 
     def energies(d: float) -> np.ndarray:
-        spec = rabi_spectrum(branch.params_base.with_g(g + d))
-        return spec.eigenvalues[np.argmax(np.abs(vectors.T @ spec.eigenvectors), axis=1)]
+        w, v = _chain_eigenpairs(branch.params_base.with_g(g + d))
+        return w[np.argmax(np.abs(vectors.T @ v), axis=1)]
 
     rows = []
     v_mat = v_op.entries

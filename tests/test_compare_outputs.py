@@ -28,3 +28,49 @@ def test_differing_exit_codes_fail(tool, monkeypatch, tmp_path, base_rc, expecte
     monkeypatch.setattr(tool, "run_op", fake_run_op)
     argv = ["--base", str(tmp_path), "--seed", "1", "--workload", "wide-window"]
     assert tool.main(argv) == expected
+
+
+def run_with_outputs(tool, monkeypatch, tmp_path, name, base_text, head_text):
+    """Run the tool on one workload whose ops write `name`, differing by tree."""
+
+    def fake_run_op(src, op, out_dir):
+        out_dir.mkdir(parents=True)
+        base = out_dir.parent.name == "base"
+        (out_dir / name).write_text(base_text if base else head_text)
+        return 0
+
+    monkeypatch.setattr(tool, "run_op", fake_run_op)
+    argv = ["--base", str(tmp_path), "--seed", "1", "--workload", "wide-window"]
+    return tool.main(argv)
+
+
+@pytest.mark.parametrize(
+    "base_text, head_text",
+    [
+        ('{"n_segments": 683, "fidelity": 0.5}', '{"n_segments": 681, "fidelity": 0.5}'),
+        ('{"connected": true}', '{"connected": false}'),
+        ('{"label": "(0,+1)"}', '{"label": "(1,-1)"}'),
+        ('{"chain": null}', '{"chain": 1}'),
+        ('{"edges": [[0, 1]]}', '{"edges": [[0, 1], [1, 2]]}'),
+    ],
+    ids=["int", "bool", "str", "null", "structure"],
+)
+def test_discrete_json_drift_fails(tool, monkeypatch, tmp_path, base_text, head_text):
+    assert run_with_outputs(tool, monkeypatch, tmp_path, "out.json", base_text, head_text) == 1
+
+
+def test_float_only_json_drift_passes(tool, monkeypatch, tmp_path, capsys):
+    base = '{"n_segments": 683, "fidelity": 0.9893695180270182}'
+    head = '{"n_segments": 683, "fidelity": 0.989369518027008}'
+    assert run_with_outputs(tool, monkeypatch, tmp_path, "out.json", base, head) == 0
+    assert "fidelity: n=1 max_abs_diff=1.021e-14" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "head_text, expected",
+    [("t,label\n0.5,(0+)\n", 0), ("t,label\n0.50000000000000011,(0+)\n", 0), ("t,label\n0.5,(1-)\n", 1)],
+    ids=["equal", "float-drift", "label-drift"],
+)
+def test_csv_non_number_cells_must_match(tool, monkeypatch, tmp_path, head_text, expected):
+    base = "t,label\n0.5,(0+)\n"
+    assert run_with_outputs(tool, monkeypatch, tmp_path, "out.csv", base, head_text) == expected

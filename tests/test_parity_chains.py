@@ -70,3 +70,21 @@ def test_resonance_near_tie_needs_no_continuation(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["resonance", "--config", str(path)]) == EXIT_OK
     assert json.loads((tmp_path / "resonance.json").read_text())["all_clean"] is True
+
+
+def test_hellmann_feynman_runs_no_trust_scan(monkeypatch):
+    import spinboson.spectral as spectral
+
+    p = ModelParams(1.0, 1.1, 0.0, 16)
+    fam = track_branches(p, np.linspace(0.0, 0.3, 7))
+    calls = []
+    real_scan = spectral.convergence_scan
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "convergence_scan", counting_scan)
+    rows = hellmann_feynman_check(fam, build_interaction(p), 0.2)
+    assert len(rows) == p.dim and all(row["ok"] for row in rows)
+    assert calls == []

@@ -137,3 +137,25 @@ def test_quadruple_check_matches_loop(omega):
     for window in range(25):
         got = degenerate_quadruple_check(window, omega)
         assert json.dumps(got) == json.dumps(reference_quadruple_check(window, omega))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planted_spectra(), st.data())
+def test_scan_ignores_labels(planted, data):
+    """Relabelling a spectrum (permuting, dropping or keeping its labels)
+    leaves the scan report unchanged to the byte: the scan reads only levels."""
+    levels, tol = planted
+    spec = spectrum_of(levels)
+    window = len(spec.eigenvalues)
+    plain = numeric_resonance_scan(spec, window, tol).to_json()
+    labels = [BasisIndex(k // 2, 1 if k % 2 else -1) for k in range(window)]
+    perm = data.draw(st.permutations(range(window)))
+    keep = data.draw(st.lists(st.booleans(), min_size=window, max_size=window))
+    variants = {
+        "as-is": {k: labels[k] for k in range(window)},
+        "permuted": {k: labels[perm[k]] for k in range(window)},
+        "dropped": {k: labels[k] for k in range(window) if keep[k]},
+    }
+    for name, relabelled in variants.items():
+        spec.labels = relabelled
+        assert numeric_resonance_scan(spec, window, tol).to_json() == plain, name

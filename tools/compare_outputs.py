@@ -9,9 +9,12 @@ with BLAS pinned to one thread. For every output file it prints both exit
 codes, whether the bytes are equal and, per field (CSV column or JSON key
 path), the largest absolute difference and the number of sign flips.
 `--repeat N` runs the head tree N more times and reports whether its
-repeats are byte-identical. Exits 1 when the runs of an operation end with
-different exit codes, a head repeat differs or the trees write different
-sets of files, else 0.
+repeats are byte-identical. Float fields only report their drift; a
+discrete field (a JSON int, bool, str or null, a CSV cell that is not a
+number) must be equal. Exits 1 when the runs of an operation end with
+different exit codes, a head repeat differs, the trees write different
+sets of files, a file's structure differs or a discrete field differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -72,19 +75,19 @@ def flatten(path: Path) -> list[tuple[str, object]]:
     return pairs
 
 
-def compare_file(base: Path, head: Path) -> list[str]:
-    """One summary line for the file, then one per field that is not equal."""
+def compare_file(base: Path, head: Path) -> tuple[bool, list[str]]:
+    """Whether the files agree in structure and every discrete field, then one
+    summary line for the file and one per field that is not equal."""
     if base.read_bytes() == head.read_bytes():
-        return ["bytes equal"]
+        return True, ["bytes equal"]
     a, b = flatten(base), flatten(head)
     if [k for k, _ in a] != [k for k, _ in b]:
-        return ["bytes differ; structure differs"]
+        return False, ["bytes differ; structure DIFFERS"]
     fields: dict[str, list] = {}
     for (key, x), (_, y) in zip(a, b):
         stat = fields.setdefault(key, [0, 0.0, 0, 0])  # count, max diff, flips, mismatches
         stat[0] += 1
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
-        if numeric:
+        if isinstance(x, float) and isinstance(y, float):
             stat[1] = max(stat[1], abs(x - y))
             stat[2] += x * y < 0
         elif x != y:
@@ -98,7 +101,10 @@ def compare_file(base: Path, head: Path) -> list[str]:
             )
     equal = sum(1 for n, diff, flips, m in fields.values() if not (diff or flips or m))
     lines.append(f"  {equal} of {len(fields)} fields equal")
-    return lines
+    same_design = not any(m for *_, m in fields.values())
+    if not same_design:
+        lines[0] += "; discrete fields DIFFER"
+    return same_design, lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 for fname in files["head"]:
                     base, head = work / "base" / tag / fname, work / "head" / tag / fname
-                    lines = compare_file(base, head)
+                    same_design, lines = compare_file(base, head)
+                    ok = ok and same_design
                     repeats = [
                         (work / label / tag / fname).read_bytes() == head.read_bytes()
                         for label in trees if label.startswith("head") and label != "head"
