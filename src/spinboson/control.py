@@ -240,9 +240,9 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     levels = sorted(path)
     level_vecs = spectrum.eigenvectors[:, levels]
 
-    # gaps of the mean Hamiltonian, matched to the H0 levels by overlap
+    # gaps of the mean Hamiltonian, matched to the path's H0 levels by overlap
     w_mean, v_mean = dense_eigh(h0.entries + (delta / 2) * b.entries, "H0 + (delta/2)*B")
-    match = np.argmax(np.abs(spectrum.eigenvectors.T @ v_mean), axis=1)
+    match = dict(zip(levels, np.argmax(np.abs(level_vecs.T @ v_mean), axis=1)))
 
     prop = SegmentPropagator(h0, b, delta)
     segments: list[tuple[float, float]] = []

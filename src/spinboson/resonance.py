@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import dump_json
-from .fockmodel import BasisIndex, LabeledOperator, ModelParams, tied
+from .fockmodel import BasisIndex, LabeledOperator, ModelParams, bare_energy, tied
 from .perturbation import e0_closed, e2_closed, e4_closed, degenerate_slopes
-from .spectral import Spectrum, track_branches
+from .spectral import Spectrum, control_norm, track_branches
 
 __all__ = [
     "GapQuadruple",
@@ -218,9 +218,10 @@ def coupling_graph(
     floor: float | None = None,
     tol: float | None = None,
 ) -> TransitionGraph:
-    """Graph of control couplings over the lowest `window` levels with resonance flags."""
+    """Graph of control couplings over the lowest `window` levels with resonance flags.
+    The default floor 1e-8 * ||X_N|| assumes b_op is the control X (x) 1."""
     if floor is None:
-        floor = 1e-8 * float(np.linalg.norm(b_op.entries, 2))
+        floor = 1e-8 * control_norm(b_op.dim // 2)
     if floor <= 0:
         raise ValueError("floor must be positive")
     if tol is None:
@@ -237,8 +238,8 @@ def coupling_graph(
         else:
             excluded.append(k)
 
-    v = spectrum.eigenvectors
-    b_eig = v.T @ b_op.entries @ v
+    vw = spectrum.eigenvectors[:, :window]
+    b_eig = vw.T @ (b_op.entries @ vw)
     edges = []
     node_ids = [k for k, _ in nodes]
     for a, b in itertools.combinations(node_ids, 2):
@@ -332,21 +333,21 @@ def certify_chain(graph: TransitionGraph) -> ChainCertificate:
 def degenerate_quadruple_check(window: int, omega: float) -> dict:
     """Exhaustive first-order separation check for the omega = Omega branches.
 
-    Branches carry the uncoupled energy omega*k and the splitting slope
-    +-sqrt(k/2) (slope 0 for the ground branch). A violation is a nontrivial
-    quadruple with equal order-0 gaps and equal first-order slope differences.
+    Branches carry omega times their `bare_energy` in units of omega (the integer k
+    at Omega = omega) and the splitting slope +-sqrt(k/2), 0 for the ground branch.
+    A violation is a nontrivial quadruple with equal order-0 gaps and slope differences.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    energy, slope, labels = [0.0], [0.0], [BasisIndex(0, -1)]  # ascending in energy
+    slope, levels = [0.0], [BasisIndex(0, -1)]  # ascending in energy
     for j in range(window // 2):
-        up, dn = degenerate_slopes(j)
-        energy += [omega * (j + 1)] * 2
-        slope += [up, dn]
-        labels += [BasisIndex(j, 1), BasisIndex(j + 1, -1)]
-    labels = [str(lab) for lab in labels[:window]]
+        slope += degenerate_slopes(j)
+        levels += [BasisIndex(j, 1), BasisIndex(j + 1, -1)]
+    levels = levels[:window]
+    energy = [omega * bare_energy(lab.n, lab.s, 1.0, 1.0) for lab in levels]
+    labels = [str(lab) for lab in levels]
     n = len(labels)
-    x = np.subtract.outer(energy[:n], energy[:n])  # x[c, d] = E_c - E_d
+    x = np.subtract.outer(energy, energy)  # x[c, d] = E_c - E_d
     y = np.subtract.outer(slope[:n], slope[:n])
     violations = []
     for a, b in itertools.permutations(range(n), 2):

@@ -30,7 +30,6 @@ from .fockmodel import (
     LabeledOperator,
     ModelParams,
     basis_order,
-    build_rabi,
     degenerate_basis,
     photon_ladder,
     rabi_bands,
@@ -43,6 +42,7 @@ __all__ = [
     "SolverError",
     "GridRefinementError",
     "default_window",
+    "control_norm",
     "trusted_levels",
     "dense_eigh",
     "diagonalize",
@@ -110,7 +110,7 @@ def _check_eigenpairs(hv: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
 
 
 def _attach_labels(
-    v: np.ndarray, basis: list[BasisIndex], at_zero: bool
+    v: np.ndarray, basis: list[BasisIndex]
 ) -> tuple[dict[int, BasisIndex], list[int]]:
     labels: dict[int, BasisIndex] = {}
     ambiguous: list[int] = []
@@ -123,7 +123,7 @@ def _attach_labels(
         if best - second < AMBIGUITY_TOL:
             ambiguous.append(k)
             continue
-        if not at_zero and best < OVERLAP_THRESHOLD:
+        if best < OVERLAP_THRESHOLD:
             continue
         lab = basis[order[0]]
         if lab in used:
@@ -143,6 +143,13 @@ def _attach_labels(
 def default_window(n_fock: int) -> int:
     """Levels a coupling graph covers when no window is given."""
     return n_fock // 4
+
+
+def control_norm(n_fock: int) -> float:
+    """||X (x) 1|| = ||X_N||: the largest root of the Hermite polynomial H_N, which is
+    the top eigenvalue of the photon ladder (Golub-Welsch)."""
+    top = (n_fock - 1, n_fock - 1)
+    return float(eigvalsh_tridiagonal(np.zeros(n_fock), photon_ladder(n_fock), "i", top)[0])
 
 
 def trusted_levels(params: ModelParams) -> int:
@@ -166,8 +173,7 @@ def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spect
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
     w, v = dense_eigh(op.entries, op.name)
-    at_zero = params is not None and params.g == 0
-    labels, ambiguous = _attach_labels(v, op.basis, at_zero)
+    labels, ambiguous = _attach_labels(v, op.basis)
     # a bare operator makes no truncation claim
     trust_cutoff = op.dim if params is None else trusted_levels(params)
     return Spectrum(params, op.name, w, v, labels, ambiguous, trust_cutoff)
@@ -253,9 +259,9 @@ def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rabi_at(params: ModelParams, w, v, labels) -> Spectrum:
-    """H_Rabi at params.g from eigenpairs in any column order: sorted ascending,
+    """H_Rabi at params.g from eigenpairs in any column order, stably sorted ascending:
     column b labelled labels[b] unless labels is None, trusted per `trusted_levels`."""
-    order = np.argsort(w)
+    order = np.argsort(w, kind="stable")
     by_rank = {} if labels is None else {r: labels[b] for r, b in enumerate(order)}
     w, v = w[order], v[:, order]
     return Spectrum(params, "H_Rabi", w, v, by_rank, [], trusted_levels(params))
@@ -368,10 +374,12 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum at params.g with labels carried by continuation from g = 0.
 
     Bare-basis overlap labelling degrades at strong coupling; continuation
-    along a g-grid recovers the analytic labelling.
+    along a g-grid recovers the analytic labelling. H(0) is diagonal, so at
+    g = 0 the spectrum is its bare energies with the product basis as vectors.
     """
     if params.g == 0:
-        return diagonalize(build_rabi(params), params)
+        energies, _ = rabi_bands(params)
+        return _rabi_at(params, energies, np.eye(params.dim), basis_order(params.n_fock))
     lo, hi = min(0.0, params.g), max(0.0, params.g)
     grid = np.linspace(lo, hi, 21)
     grid[0 if params.g < 0 else -1] = params.g
@@ -392,12 +400,9 @@ def hellmann_feynman_check(
 
     Uses a 4th-order centered stencil with step h = 1e-3 * max(1, |g|); each
     stencil point is solved fresh on the two chains, with no trust scan, and
-    matched by overlap.
+    matched by overlap, so g may be any grid point, an end one included.
     """
     gi = branch.grid_index(g)
-    if gi == 0 or gi == len(branch.g_grid) - 1:
-        if len(branch.g_grid) > 1:
-            raise ValueError("g must be interior to the branch grid")
     h = 1e-3 * max(1.0, abs(g))
 
     vectors = branch.vectors_at(gi)

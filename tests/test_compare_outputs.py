@@ -74,3 +74,18 @@ def test_float_only_json_drift_passes(tool, monkeypatch, tmp_path, capsys):
 def test_csv_non_number_cells_must_match(tool, monkeypatch, tmp_path, head_text, expected):
     base = "t,label\n0.5,(0+)\n"
     assert run_with_outputs(tool, monkeypatch, tmp_path, "out.csv", base, head_text) == expected
+
+
+def test_reference_set_runs_by_default(tool, monkeypatch, tmp_path):
+    ran = []
+
+    def fake_run_op(src, op, out_dir):
+        out_dir.mkdir(parents=True)
+        if out_dir.parent.name == "head":
+            ran.append(out_dir.name)
+        return 0
+
+    monkeypatch.setattr(tool, "run_op", fake_run_op)
+    assert tool.main(["--base", str(tmp_path), "--seed", "1"]) == 0
+    expected = [f"reference-op{i}-{op.command}" for i, op in enumerate(tool.REFERENCE)]
+    assert [tag for tag in ran if tag.startswith("reference-")] == expected

@@ -2,19 +2,20 @@
 
     python3 tools/compare_outputs.py --base <other checkout>/src --seed 101
 
-Builds every operation of `perfbench/workloads.py` for the seed and runs
-each one as `spinboson <command> --config <file>` in a fresh interpreter,
-once against each source tree (`--head` defaults to this checkout's `src`),
-with BLAS pinned to one thread. For every output file it prints both exit
-codes, whether the bytes are equal and, per field (CSV column or JSON key
-path), the largest absolute difference and the number of sign flips.
-`--repeat N` runs the head tree N more times and reports whether its
-repeats are byte-identical. Float fields only report their drift; a
-discrete field (a JSON int, bool, str or null, a CSV cell that is not a
-number) must be equal. Exits 1 when the runs of an operation end with
-different exit codes, a head repeat differs, the trees write different
-sets of files, a file's structure differs or a discrete field differs,
-else 0.
+Builds every operation of `perfbench/workloads.py` for the seed and of the
+fixed `reference` set below (`--workload` picks the sets; all run by
+default), and runs each one as `spinboson <command> --config <file>` in a
+fresh interpreter, once against each source tree (`--head` defaults to
+this checkout's `src`), with BLAS pinned to one thread. For every output
+file it prints both exit codes, whether the bytes are equal and, per field
+(CSV column or JSON key path), the largest absolute difference and the
+number of sign flips. `--repeat N` runs the head tree N more times and
+reports whether its repeats are byte-identical. Float fields only report
+their drift; a discrete field (a JSON int, bool, str or null, a CSV cell
+that is not a number) must be equal. Exits 1 when the runs of an
+operation end with different exit codes, a head repeat differs, the trees
+write different sets of files, a file's structure differs or a discrete
+field differs, else 0.
 """
 
 from __future__ import annotations
@@ -33,6 +34,40 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+
+
+def _model(Omega: float, g: float, n_fock: int) -> dict:
+    return {"model": {"omega": 1.0, "Omega": Omega, "g": g, "n_fock": n_fock}}
+
+
+# Fixed configs that the seeded workloads miss: g = 0, with the exact ties of
+# Omega = omega and 3 omega and, at n_fock 200, their order; labels on either
+# side of Omega = 3 omega; a negative g; and a cross-spin transfer.
+REFERENCE = [
+    *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
+    workloads.Op("spectrum", _model(1.0, 0.0, 200)),
+    *(workloads.Op("chain", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1)),
+    *(workloads.Op("spectrum", _model(Omega, 0.2, 32)) for Omega in (2.999, 3.001)),
+    workloads.Op("chain", _model(1.05, -0.3, 32)),
+    workloads.Op(
+        "transfer",
+        {
+            **_model(1.05, 0.2, 16),
+            "transfer": {
+                "source": {"n": 0, "s": -1},
+                "target": {"n": 0, "s": 1},
+                "delta": 0.02,
+                "max_periods": 300,
+            },
+        },
+    ),
+]
+SETS = (*workloads.NAMES, "reference")
+
+
+def ops_of(name: str, seed: int) -> list[workloads.Op]:
+    return REFERENCE if name == "reference" else workloads.build(name, seed)
+
 
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUN_CLI = "import sys; from spinboson.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -112,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="src directory of the base tree")
     parser.add_argument("--head", type=Path, default=ROOT / "src", help="src directory of the head tree")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", action="append", choices=workloads.NAMES)
+    parser.add_argument("--workload", action="append", choices=SETS)
     parser.add_argument("--repeat", type=int, default=1, help="extra runs of the head tree")
     args = parser.parse_args(argv)
 
@@ -121,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     work = Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     try:
-        for name in args.workload or workloads.NAMES:
-            for i, op in enumerate(workloads.build(name, args.seed)):
+        for name in args.workload or SETS:
+            for i, op in enumerate(ops_of(name, args.seed)):
                 tag = f"{name}-op{i}-{op.command}"
                 rcs = {label: run_op(src, op, work / label / tag) for label, src in trees.items()}
                 same_rc = len(set(rcs.values())) == 1
