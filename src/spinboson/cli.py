@@ -18,7 +18,7 @@ import numpy as np
 
 from . import control, perturbation, resonance, spectral
 from ._io import atomic_write, dump_json, write_csv
-from .fockmodel import BasisIndex, ModelParams, build_control, tied
+from .fockmodel import BasisIndex, ModelParams, build_control, build_interaction, tied
 from .spectral import GridRefinementError, SolverError
 
 EXIT_OK = 0
@@ -75,11 +75,15 @@ MINIMUM: dict[str, int | float] = {
     "resonance.floor": 0.0,
     "transfer.delta": 0.0,
     "transfer.max_periods": 1,
+    "transfer.threshold": 0.0,
     "transfer.window": 1,
     "convergence.sizes": 2,
     "convergence.tol": 0.0,
+    "perturb.window": 0.0,
     "perturb.degree": 4,  # the table reads the fit up to E4
     "perturb.max_n": 0,
+    "degenerate.window": 2,  # the fewest levels that form a quadruple
+    "degenerate.j_max": 0,
 }
 TOP_LEVEL = {key for key in SCHEMA if "." not in key}
 SECTIONS = {key.split(".")[0] for key in SCHEMA} - TOP_LEVEL
@@ -340,9 +344,12 @@ def cmd_transfer(cfg: dict) -> int:
 
 
 def cmd_convergence(cfg: dict) -> int:
-    report = spectral.convergence_scan(
-        cfg["model"], cfg["convergence.sizes"], tol=cfg["convergence.tol"]
-    )
+    sizes = cfg["convergence.sizes"]
+    if sizes[0] < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(
+            f"key 'convergence.sizes' = {sizes} must increase strictly from >= 2"
+        )
+    report = spectral.convergence_scan(cfg["model"], sizes, tol=cfg["convergence.tol"])
     atomic_write(_out(cfg, "convergence.json"), report.to_json())
     return EXIT_OK
 
@@ -357,20 +364,18 @@ def cmd_degenerate(cfg: dict) -> int:
     j_max = cfg["degenerate.j_max"]
     if j_max + 1 >= model.n_fock:
         raise ConfigError(f"key 'degenerate.j_max' = {j_max} needs n_fock > {j_max + 1}")
-    h = 1e-3
-    grid = np.array([-2 * h, -h, 0.0, h, 2 * h])
-    family = spectral.track_branches(model, grid)
+    family = spectral.track_branches(model, [0.0])
+    rows = spectral.hellmann_feynman_check(family, build_interaction(model), 0.0)
     slopes = []
     for j in range(j_max + 1):
         up, dn = perturbation.degenerate_slopes(j)
         for lab, closed in ((BasisIndex(j, 1), up), (BasisIndex(j + 1, -1), dn)):
-            numeric = spectral.stencil_slope(lambda d: family.energy(lab, d), h)
             slopes.append(
                 {
                     "label_n": lab.n,
                     "label_s": lab.s,
                     "slope_closed": closed,
-                    "slope_numeric": float(numeric),
+                    "slope_numeric": float(rows[family.branch_index(lab)]["fd_slope"]),
                 }
             )
     check = resonance.degenerate_quadruple_check(cfg["degenerate.window"], model.omega)

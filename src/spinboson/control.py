@@ -339,7 +339,8 @@ def transfer_experiment(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TransferReport:
     """Full pipeline: diagonalize, graph, certify, design; the design sweep
-    also yields the populations and the final state, so nothing is replayed."""
+    also yields the populations and the final state, so nothing is replayed.
+    The default window is `default_window` cut to the trusted levels, as in the CLI."""
     if source.s != target.s and params.g == 0:
         raise TransferError(
             "diagonalize", "cross-spin targets are unreachable at g = 0"
@@ -348,7 +349,8 @@ def transfer_experiment(
         spectrum = labelled_spectrum(params)
     except (SolverError, GridRefinementError, ValueError) as exc:
         raise TransferError("diagonalize", str(exc)) from exc
-    window = default_window(params.n_fock) if window is None else window
+    if window is None:
+        window = min(default_window(params.n_fock), spectrum.trust_cutoff)
     try:
         graph = coupling_graph(spectrum, build_control(params), window=window)
     except ValueError as exc:

@@ -183,24 +183,26 @@ def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spect
 class BranchFamily:
     """Label-consistent eigenpair curves of H_Rabi over a g-grid.
 
-    Per parity chain, `chains` holds its rows, its branch columns (indices
-    into `labels`) and the (n_grid, N, N) block of their vectors on those rows.
+    At grid point gi, branch b is column `columns[gi, b]` of the chain solve
+    (the seed at g = 0) times `signs[gi, b]`; only these choices are stored.
     """
 
     params_base: ModelParams
     g_grid: np.ndarray
     labels: list[BasisIndex]
     energies: np.ndarray  # (n_branch, n_grid)
-    chains: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    columns: np.ndarray  # (n_grid, n_branch)
+    signs: np.ndarray  # (n_grid, n_branch)
     overlap_floor: float
 
     def vectors_at(self, gi: int) -> np.ndarray:
-        """(2N, n_branch) eigenvectors at grid point gi, columns in branch order."""
-        n = len(self.labels)
-        vectors = np.zeros((n, n))
-        for rows, cols, block in self.chains:
-            vectors[rows[:, None], cols] = block[gi]
-        return vectors
+        """(2N, n_branch) eigenvectors at grid point gi in branch order, re-solved."""
+        g = float(self.g_grid[gi])
+        if g == 0:
+            v = _seed_at_zero(self.params_base)[1]
+        else:
+            v = _chain_eigenpairs(self.params_base.with_g(g))[1]
+        return v[:, self.columns[gi]] * self.signs[gi]
 
     def branch_index(self, label: BasisIndex) -> int:
         return self.labels.index(label)
@@ -291,7 +293,7 @@ def _continue_chain(
     rank0: np.ndarray,
     g1: float,
     depth: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve one chain at g1 and match its eigenpairs to the branches v0 at g0.
 
     Branch j had rank rank0[j] at g0 and keeps it while every branch's
@@ -299,8 +301,8 @@ def _continue_chain(
     of largest |overlap|; across a crossing too narrow to resolve on the step,
     this follows the diabatic level. If that is no permutation clearing the
     floor either, the step is halved, at most `depth` times. Returns the
-    energies and sign-aligned vectors in branch order, the ranks and the
-    worst overlap.
+    energies and sign-aligned vectors in branch order, the ranks, the signs
+    and the worst overlap.
     """
     w, v = _solve_chain(d, g1 * c)
     rank = rank0
@@ -311,16 +313,17 @@ def _continue_chain(
         overlap = m[np.arange(len(rank)), rank]
     worst = float(np.min(np.abs(overlap)))
     if worst >= OVERLAP_FLOOR and len(np.unique(rank)) == len(rank):
-        return w[rank], v[:, rank] * np.where(overlap < 0, -1.0, 1.0), rank, worst
+        sign = np.where(overlap < 0, -1.0, 1.0)
+        return w[rank], v[:, rank] * sign, rank, sign, worst
     if depth <= 0:
         raise GridRefinementError(
             f"overlap {worst:.3f} below floor {OVERLAP_FLOOR} between g={g0} and "
             f"g={g1} after maximal bisection; refine the grid near this interval"
         )
     gm = 0.5 * (g0 + g1)
-    _, vm, rm, o1 = _continue_chain(d, c, g0, v0, rank0, gm, depth - 1)
-    w1, v1, r1, o2 = _continue_chain(d, c, gm, vm, rm, g1, depth - 1)
-    return w1, v1, r1, min(o1, o2)
+    _, vm, rm, _, o1 = _continue_chain(d, c, g0, v0, rank0, gm, depth - 1)
+    w1, v1, r1, s1, o2 = _continue_chain(d, c, gm, vm, rm, g1, depth - 1)
+    return w1, v1, r1, s1, min(o1, o2)
 
 
 def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> BranchFamily:
@@ -343,7 +346,9 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
     c = photon_ladder(params_base.n_fock)
     energies = np.empty((params_base.dim, len(grid)))
     energies[:, i0] = e_seed
-    chains = []
+    columns = np.empty((len(grid), params_base.dim), dtype=np.intp)
+    columns[i0] = np.arange(params_base.dim)
+    signs = np.ones((len(grid), params_base.dim))
     floor_seen = 1.0
 
     for rows in _chains(params_base.n_fock):
@@ -351,23 +356,19 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
         # branch columns (label linear indices), in the g = 0 rank order that
         # the first step tries first
         cols = rows[np.argsort(d, kind="stable")]
-        block = np.empty((len(grid), len(rows), len(cols)))
-        block[i0] = v_seed[np.ix_(rows, cols)]
         for steps in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
-            v_prev = block[i0]
+            v_prev = v_seed[np.ix_(rows, cols)]
             rank = np.arange(len(rows))
             g_prev = 0.0
             for gi in steps:
-                w, v, rank, worst = _continue_chain(
+                w, v_prev, rank, sign, worst = _continue_chain(
                     d, c, g_prev, v_prev, rank, float(grid[gi]), max_refine
                 )
-                energies[cols, gi] = w
-                block[gi] = v
+                energies[cols, gi], columns[gi, cols], signs[gi, cols] = w, rows[rank], sign
                 floor_seen = min(floor_seen, worst)
-                v_prev, g_prev = v, float(grid[gi])
-        chains.append((rows, cols, block))
+                g_prev = float(grid[gi])
 
-    return BranchFamily(params_base, grid, labels, energies, chains, floor_seen)
+    return BranchFamily(params_base, grid, labels, energies, columns, signs, floor_seen)
 
 
 def labelled_spectrum(params: ModelParams) -> Spectrum:

@@ -33,6 +33,13 @@ BELOW = [
     ("transfer", "transfer.window", 0),
     ("transfer", "transfer.delta", -0.02),
     ("transfer", "transfer.delta", 0.0),
+    ("transfer", "transfer.threshold", -1.0),
+    ("transfer", "transfer.threshold", 0.0),
+    ("perturb", "perturb.window", -0.01),
+    ("perturb", "perturb.window", 0.0),
+    ("degenerate", "degenerate.window", 0),
+    ("degenerate", "degenerate.window", 1),
+    ("degenerate", "degenerate.j_max", -2),
     ("spectrum", "output_dir", ""),
 ]
 

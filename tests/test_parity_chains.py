@@ -51,8 +51,9 @@ def test_hellmann_feynman_matches_dense_stencil(Omega, grid, g):
 def test_branch_vectors_stored_per_chain():
     n_fock = 64
     fam = track_branches(ModelParams(1.0, 1.05, 0.0, n_fock), np.linspace(-0.2, 0.2, 21))
-    # half of the dense (2N, 2N, n_grid) array
-    assert sum(block.size for _, _, block in fam.chains) == 2 * n_fock**2 * 21
+    # one chain-solve column and one sign per branch and grid point; each is
+    # N times smaller than half the dense (2N, 2N, n_grid) array of vectors
+    assert fam.columns.shape == fam.signs.shape == (21, 2 * n_fock)
     vectors = fam.vectors_at(fam.grid_index(0.2))
     assert vectors.shape == (2 * n_fock, 2 * n_fock)
     assert np.max(np.abs(vectors.T @ vectors - np.eye(2 * n_fock))) < 1e-12

@@ -36,13 +36,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _model(Omega: float, g: float, n_fock: int) -> dict:
-    return {"model": {"omega": 1.0, "Omega": Omega, "g": g, "n_fock": n_fock}}
+def _model(Omega: float, g: float, n_fock: int, omega: float = 1.0) -> dict:
+    return {"model": {"omega": omega, "Omega": Omega, "g": g, "n_fock": n_fock}}
 
 
 # Fixed configs that the seeded workloads miss: g = 0, with the exact ties of
 # Omega = omega and 3 omega and, at n_fock 200, their order; labels on either
-# side of Omega = 3 omega; a negative g; and a cross-spin transfer.
+# side of Omega = 3 omega; a negative g; a cross-spin transfer; chains whose
+# continuation bisects and matches diabatically near Omega = 5 omega, on
+# either side of g = 0; and the degenerate slopes away from omega = 1.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -61,6 +63,8 @@ REFERENCE = [
             },
         },
     ),
+    *(workloads.Op("chain", _model(4.999, g, 32)) for g in (-0.5, 0.5)),
+    workloads.Op("degenerate", _model(0.7, 0.0, 16, omega=0.7)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
