@@ -7,15 +7,19 @@ runs in real arithmetic on the (re, im) pair of the state: two real matrix
 products with the complex phase applied between them. Transfers are driven
 bang-bang between u = 0 and u = delta at the gap frequency of the mean
 Hamiltonian H0 + (delta/2)*B, which removes the static Stark detuning of the
-drive.
+drive. The drive is periodic, so each edge's segment count is searched on
+its one-period (Floquet) operator in the driven eigenbasis, one matrix-vector
+product per period; only the kept segments are then stepped.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,7 +130,8 @@ class SegmentPropagator:
 
     `step` never forms a complex copy of the real eigenbasis: the state's
     real and imaginary parts go through each basis change as the two columns
-    of one real matrix product.
+    of one real matrix product. `driven_fidelities` ranks square-wave segment
+    counts between 0 and delta on the one-period operator instead of stepping.
     """
 
     def __init__(self, h0: LabeledOperator, b: LabeledOperator, delta: float):
@@ -149,10 +154,47 @@ class SegmentPropagator:
     def step(self, psi: np.ndarray, duration: float, amplitude: float) -> np.ndarray:
         """exp(-i (H0 + u B) duration) psi as a new contiguous complex vector."""
         w, v = self._decomposition(amplitude)
-        # v is real: each product is one real GEMM on the (2N, 2) (re, im) columns
-        pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(-1, 2)
-        coeffs = (v.T @ pairs).view(complex).ravel() * np.exp(-1j * w * duration)
-        return (v @ coeffs.view(float).reshape(-1, 2)).view(complex).ravel()
+        coeffs = _real_matvec(v.T, psi) * np.exp(-1j * w * duration)
+        return _real_matvec(v, coeffs)
+
+    @cached_property
+    def _overlap(self) -> np.ndarray:
+        """V_0^T V_delta: the free eigenbasis against the driven one."""
+        return self._decomposition(0.0)[1].T @ self._decomposition(self.delta)[1]
+
+    def driven_fidelities(self, psi: np.ndarray, far: np.ndarray, half: float):
+        """|<far| psi(m)>|^2 for m = 0, 1, 2, ..., without end, where psi(m) is
+        psi after 2m + 1 half-periods `half` of the square wave that starts on
+        u = delta and alternates with u = 0; `far` is real.
+
+        No lab-basis state is built. In the driven eigenbasis one period is
+        P = M^T Phi_0 M Phi_delta, with M = V_0^T V_delta and
+        Phi_u = exp(-i w_u half), so the amplitude is r^T P^m c with
+        c = V_delta^T psi and r = Phi_delta * (V_delta^T far): one complex
+        matrix-vector product per period, and memory that does not grow with m.
+        """
+        w_d, v_d = self._decomposition(self.delta)
+        w_0, _ = self._decomposition(0.0)
+        m = self._overlap
+        phase_d = np.exp(-1j * w_d * half)
+        # built from real products, so P's own storage is the only complex
+        # (2N)^2 array: Re(M^T Phi_0 M) = M^T cos M, Im = -M^T sin M
+        period = np.empty(m.shape, dtype=complex)
+        period.real = m.T @ (m * np.cos(w_0 * half)[:, None])
+        period.imag = m.T @ (m * -np.sin(w_0 * half)[:, None])
+        period *= phase_d
+        c = _real_matvec(v_d.T, psi)
+        r = phase_d * (v_d.T @ far)
+        while True:
+            yield float(abs(r @ c) ** 2)
+            c = period @ c
+
+
+def _real_matvec(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """v @ psi for a real matrix v and a complex vector psi, as one real GEMM
+    on the (N, 2) (re, im) columns of psi; no complex copy of v is formed."""
+    pairs = np.ascontiguousarray(psi, dtype=complex).view(float).reshape(-1, 2)
+    return (v @ pairs).view(complex).ravel()
 
 
 def propagate(
@@ -210,7 +252,10 @@ def design_transfer(
     H0 + (delta/2)*B; the segment count per edge maximizes the fidelity to
     the edge's far eigenstate within DEFAULT_MAX_PERIODS periods. Counts are
     0 or odd: a trailing zero-amplitude half-period would leave the fidelity
-    unchanged, so only roundoff could prefer it.
+    unchanged, so only roundoff could prefer it. The counts are ranked on the
+    one-period operator (`SegmentPropagator.driven_fidelities`); the first
+    strict maximum wins, and only its segments are stepped, so the reported
+    fidelities are those of the stepped states.
 
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
@@ -222,7 +267,11 @@ def design_transfer(
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     """`design_transfer`'s three values, the population rows of the path levels
-    after each kept segment, those levels (sorted) and the final state."""
+    after each kept segment, those levels (sorted) and the final state.
+
+    Per edge, `driven_fidelities` ranks the counts up to `max_periods`
+    periods; then `step` runs the kept segments alone, and its states give
+    the populations, the edge fidelity and the next edge's start."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
@@ -258,25 +307,21 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
         far = spectrum.eigenvectors[:, c]
         best_fid = float(abs(np.vdot(far, psi)) ** 2)
         best_count = 0
-        best_state = psi
-        cur = psi
-        amps = np.empty((2 * max_periods, len(levels)), dtype=complex)
-        for seg in range(2 * max_periods):
-            driven = seg % 2 == 0
-            cur = prop.step(cur, half, delta if driven else 0.0)
-            amps[seg] = level_vecs.T @ cur
-            if not driven:
-                # free evolution cannot change the fidelity to an H0 eigenstate,
-                # so only counts ending on a driven half-period are ranked
-                continue
-            fid = float(abs(np.vdot(far, cur)) ** 2)
+        # free evolution cannot change the fidelity to an H0 eigenstate, so
+        # only counts ending on a driven half-period are ranked
+        search = prop.driven_fidelities(psi, far, half)
+        for m, fid in enumerate(itertools.islice(search, max_periods)):
             if fid > best_fid:
-                best_fid, best_count, best_state = fid, seg + 1, cur
+                best_fid, best_count = fid, 2 * m + 1
         for seg in range(best_count):
-            segments.append((half, delta if seg % 2 == 0 else 0.0))
+            amplitude = delta if seg % 2 == 0 else 0.0
+            psi = prop.step(psi, half, amplitude)
+            segments.append((half, amplitude))
             t += half
-            populations.append({"t": t, "p": [float(abs(x) ** 2) for x in amps[seg]]})
-        psi = best_state
+            amps = level_vecs.T @ psi
+            populations.append({"t": t, "p": [float(abs(x) ** 2) for x in amps]})
+        if best_count:
+            best_fid = float(abs(np.vdot(far, psi)) ** 2)
         overall = best_fid
         edge_reports.append(
             {

@@ -234,8 +234,9 @@ ONE_PASS = [
     ids=["ladder", "cross-spin", "two-edge", "identity"],
 )
 def test_transfer_propagates_once(monkeypatch, params, source, target, window, edges):
-    # the design sweep is the only propagation, and its populations and
-    # fidelity equal those of replaying the designed pulse with `propagate`
+    # the kept pulse is stepped once and the segment-count search steps
+    # nothing, and the populations and fidelity equal those of replaying
+    # the designed pulse with `propagate`
     max_periods, delta = 300, 0.02
     steps = []
     step = SegmentPropagator.step
@@ -250,7 +251,7 @@ def test_transfer_propagates_once(monkeypatch, params, source, target, window, e
     )
     monkeypatch.undo()
     assert len(report.edges) == edges
-    assert len(steps) == 2 * max_periods * edges
+    assert len(steps) == sum(e["n_segments"] for e in report.edges)
 
     spec = labelled_spectrum(params)
     pulse = Pulse(

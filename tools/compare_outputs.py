@@ -40,29 +40,30 @@ def _model(Omega: float, g: float, n_fock: int, omega: float = 1.0) -> dict:
     return {"model": {"omega": omega, "Omega": Omega, "g": g, "n_fock": n_fock}}
 
 
+def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
+    """A transfer from (0, -1) to `target` at delta 0.02; `keys` go into the
+    transfer section."""
+    spec = {"source": {"n": 0, "s": -1}, "target": target, "delta": 0.02, **keys}
+    return workloads.Op("transfer", {**model, "transfer": spec})
+
+
 # Fixed configs that the seeded workloads miss: g = 0, with the exact ties of
 # Omega = omega and 3 omega and, at n_fock 200, their order; labels on either
-# side of Omega = 3 omega; a negative g; a cross-spin transfer; chains whose
-# continuation bisects and matches diabatically near Omega = 5 omega, on
-# either side of g = 0; and the degenerate slopes away from omega = 1.
+# side of Omega = 3 omega; a negative g; cross-spin transfers, one at a
+# negative g; a two-edge transfer; a ladder transfer searched over a single
+# period; chains whose continuation bisects and matches diabatically near
+# Omega = 5 omega, on either side of g = 0; and the degenerate slopes away
+# from omega = 1.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
     *(workloads.Op("chain", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1)),
     *(workloads.Op("spectrum", _model(Omega, 0.2, 32)) for Omega in (2.999, 3.001)),
     workloads.Op("chain", _model(1.05, -0.3, 32)),
-    workloads.Op(
-        "transfer",
-        {
-            **_model(1.05, 0.2, 16),
-            "transfer": {
-                "source": {"n": 0, "s": -1},
-                "target": {"n": 0, "s": 1},
-                "delta": 0.02,
-                "max_periods": 300,
-            },
-        },
-    ),
+    _transfer(_model(1.05, 0.2, 16), {"n": 0, "s": 1}, max_periods=300),
+    _transfer(_model(1.05, 0.2, 16), {"n": 1, "s": 1}, window=6),
+    _transfer(_model(1.05, -0.3, 24), {"n": 0, "s": 1}),
+    _transfer(_model(1.05, 0.2, 16), {"n": 1, "s": -1}, max_periods=1),
     *(workloads.Op("chain", _model(4.999, g, 32)) for g in (-0.5, 0.5)),
     workloads.Op("degenerate", _model(0.7, 0.0, 16, omega=0.7)),
 ]
