@@ -71,6 +71,7 @@ MINIMUM: dict[str, int | float] = {
     "grid.n_points": 1,
     "resonance.window": 1,
     "resonance.g_samples": 1,
+    "resonance.tol": 0.0,
     "resonance.n_samples": 1,
     "resonance.floor": 0.0,
     "transfer.delta": 0.0,
@@ -240,13 +241,19 @@ def cmd_perturb(cfg: dict) -> int:
     max_n = cfg["perturb.max_n"]
     if max_n >= model.n_fock:
         raise ConfigError(f"key 'perturb.max_n' = {max_n} needs n_fock > {max_n}")
+    n_points, degree = cfg["perturb.n_points"], cfg["perturb.degree"]
+    if n_points % 2 == 0 or n_points < degree + 3:
+        raise ConfigError(
+            f"key 'perturb.n_points' = {n_points} must be odd and at least "
+            f"'perturb.degree' + 3 = {degree + 3}"
+        )
     levels = [BasisIndex(n, s) for n in range(max_n + 1) for s in (1, -1)]
     rows = perturbation.build_table(
         model,
         levels,
         window=cfg["perturb.window"],
-        n_points=cfg["perturb.n_points"],
-        degree=cfg["perturb.degree"],
+        n_points=n_points,
+        degree=degree,
     )
     perturbation.table_to_csv(rows, _out(cfg, "perturb.csv"))
     atomic_write(_out(cfg, "perturb.json"), perturbation.table_to_json(rows))

@@ -32,14 +32,7 @@ from .resonance import (
     certify_chain,
     coupling_graph,
 )
-from .spectral import (
-    GridRefinementError,
-    SolverError,
-    Spectrum,
-    default_window,
-    dense_eigh,
-    labelled_spectrum,
-)
+from .spectral import Spectrum, default_window, dense_eigh, labelled_spectrum
 
 __all__ = [
     "Pulse",
@@ -260,53 +253,42 @@ def design_transfer(
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
     """
-    return _sweep(
+    report = _sweep(
         spectrum, graph, source, target, delta, DEFAULT_MAX_PERIODS, DEFAULT_THRESHOLD
-    )[:3]
+    )
+    fidelity = report.edges[-1]["fidelity"] if report.edges else 1.0
+    return report.pulse, fidelity, report.edges
 
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
-    """`design_transfer`'s three values, the population rows of the path levels
-    after each kept segment, those levels (sorted) and the final state.
-
-    Per edge, `driven_fidelities` ranks the counts up to `max_periods`
-    periods; then `step` runs the kept segments alone, and its states give
-    the populations, the edge fidelity and the next edge's start."""
+    """The `TransferReport` of `design_transfer`'s pulse for these `max_periods`
+    and `threshold`. Per edge, `driven_fidelities` ranks the counts; then
+    `step` runs the kept segments alone, and its states give the populations
+    of the path levels, the edge fidelity and the next edge's start."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
         raise TransferError("design", "spectrum carries no model parameters")
-    h0 = build_rabi(spectrum.params)
-    b = build_control(spectrum.params)
-
-    src = spectrum.level_of(source)
-    tgt = spectrum.level_of(target)
+    h0, b = build_rabi(spectrum.params), build_control(spectrum.params)
+    src, tgt = spectrum.level_of(source), spectrum.level_of(target)
     psi = spectrum.eigenvectors[:, src].astype(complex)
-    if src == tgt:
-        return Pulse([], delta), 1.0, [], [], [src], StateVector(psi, h0.basis)
-
-    path = _witness_path(graph, src, tgt)
+    path = [src] if src == tgt else _witness_path(graph, src, tgt)
     levels = sorted(path)
     level_vecs = spectrum.eigenvectors[:, levels]
 
-    # gaps of the mean Hamiltonian, matched to the path's H0 levels by overlap
-    w_mean, v_mean = dense_eigh(h0.entries + (delta / 2) * b.entries, "H0 + (delta/2)*B")
-    match = dict(zip(levels, np.argmax(np.abs(level_vecs.T @ v_mean), axis=1)))
-
     prop = SegmentPropagator(h0, b, delta)
     segments: list[tuple[float, float]] = []
-    populations = []
-    t = 0.0
-    edge_reports = []
-    overall = 1.0
+    populations, edge_reports, t = [], [], 0.0
     for a, c in zip(path, path[1:]):
-        gap = abs(w_mean[match[a]] - w_mean[match[c]])
+        # a gap of the mean Hamiltonian, matched to the edge's H0 levels by overlap
+        w_mean, v_mean = prop._decomposition(delta / 2)
+        ia, ic = np.argmax(np.abs(spectrum.eigenvectors[:, [a, c]].T @ v_mean), axis=1)
+        gap = abs(w_mean[ia] - w_mean[ic])
         if gap <= 0:
             raise TransferError("design", f"vanishing drive gap on edge ({a},{c})")
         half = math.pi / gap
         far = spectrum.eigenvectors[:, c]
-        best_fid = float(abs(np.vdot(far, psi)) ** 2)
-        best_count = 0
+        best_fid, best_count = float(abs(np.vdot(far, psi)) ** 2), 0
         # free evolution cannot change the fidelity to an H0 eigenstate, so
         # only counts ending on a driven half-period are ranked
         search = prop.driven_fidelities(psi, far, half)
@@ -322,7 +304,6 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
             populations.append({"t": t, "p": [float(abs(x) ** 2) for x in amps]})
         if best_count:
             best_fid = float(abs(np.vdot(far, psi)) ** 2)
-        overall = best_fid
         edge_reports.append(
             {
                 "edge": [a, c],
@@ -334,7 +315,18 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
         if best_fid < threshold:
             edge_reports[-1]["saturated_below_threshold"] = True
     final = StateVector(psi, h0.basis)
-    return Pulse(segments, delta), overall, edge_reports, populations, levels, final
+    fidelity = final.fidelity(spectrum.eigenvectors[:, tgt].astype(complex))
+    return TransferReport(
+        spectrum.params,
+        source,
+        target,
+        delta,
+        fidelity,
+        Pulse(segments, delta),
+        edge_reports,
+        populations,
+        levels,
+    )
 
 
 @dataclass
@@ -346,10 +338,14 @@ class TransferReport:
     target: BasisIndex
     delta: float
     fidelity: float
-    total_time: float
+    pulse: Pulse
     edges: list[dict]
     populations: list[dict]
     tracked_levels: list[int]
+
+    @property
+    def total_time(self) -> float:
+        return self.pulse.total_duration
 
     def to_json(self) -> str:
         return dump_json(
@@ -384,16 +380,13 @@ def transfer_experiment(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TransferReport:
     """Full pipeline: diagonalize, graph, certify, design; the design sweep
-    also yields the populations and the final state, so nothing is replayed.
+    steps the kept segments once and returns the report, so nothing is replayed.
     The default window is `default_window` cut to the trusted levels, as in the CLI."""
     if source.s != target.s and params.g == 0:
         raise TransferError(
             "diagonalize", "cross-spin targets are unreachable at g = 0"
         )
-    try:
-        spectrum = labelled_spectrum(params)
-    except (SolverError, GridRefinementError, ValueError) as exc:
-        raise TransferError("diagonalize", str(exc)) from exc
+    spectrum = labelled_spectrum(params)
     if window is None:
         window = min(default_window(params.n_fock), spectrum.trust_cutoff)
     try:
@@ -405,20 +398,4 @@ def transfer_experiment(
         raise TransferError(
             "certify", f"graph splits into {len(cert.components)} components"
         )
-    pulse, _, edge_reports, populations, tracked, final = _sweep(
-        spectrum, graph, source, target, delta, max_periods, threshold
-    )
-    fidelity = final.fidelity(
-        spectrum.eigenvectors[:, spectrum.level_of(target)].astype(complex)
-    )
-    return TransferReport(
-        params,
-        source,
-        target,
-        delta,
-        fidelity,
-        pulse.total_duration,
-        edge_reports,
-        populations,
-        tracked,
-    )
+    return _sweep(spectrum, graph, source, target, delta, max_periods, threshold)

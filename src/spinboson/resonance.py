@@ -136,6 +136,8 @@ def numeric_resonance_scan(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if window < min(1, spectrum.dim):  # an empty spectrum has the empty window
+        raise ValueError(f"window {window} must be >= 1")
     if window > spectrum.dim:
         raise ValueError(f"window {window} exceeds the dimension {spectrum.dim}")
     if window > spectrum.trust_cutoff:
@@ -220,6 +222,8 @@ def coupling_graph(
 ) -> TransitionGraph:
     """Graph of control couplings over the lowest `window` levels with resonance flags.
     The default floor 1e-8 * ||X_N|| assumes b_op is the control X (x) 1."""
+    if window < 1:
+        raise ValueError(f"window {window} must be >= 1: no level means no path")
     if floor is None:
         floor = 1e-8 * control_norm(b_op.dim // 2)
     if floor <= 0:

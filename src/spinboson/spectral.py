@@ -382,8 +382,7 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
         energies, _ = rabi_bands(params)
         return _rabi_at(params, energies, np.eye(params.dim), basis_order(params.n_fock))
     lo, hi = min(0.0, params.g), max(0.0, params.g)
-    grid = np.linspace(lo, hi, 21)
-    grid[0 if params.g < 0 else -1] = params.g
+    grid = np.unique(np.linspace(lo, hi, 21))  # a subnormal g repeats points
     family = track_branches(params, grid)
     gi = family.grid_index(params.g)
     return _rabi_at(params, family.energies[:, gi], family.vectors_at(gi), family.labels)

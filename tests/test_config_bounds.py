@@ -26,8 +26,12 @@ BELOW = [
     ("resonance", "resonance.n_samples", 0),
     ("resonance", "resonance.window", -1),
     ("resonance", "resonance.window", 0),
+    ("resonance", "resonance.tol", -1.0),
+    ("resonance", "resonance.tol", 0.0),
     ("chain", "resonance.floor", 0.0),
     ("chain", "resonance.window", 0),
+    ("chain", "resonance.tol", -1.0),
+    ("chain", "resonance.tol", 0.0),
     ("branches", "grid.n_points", 0),
     ("transfer", "transfer.max_periods", 0),
     ("transfer", "transfer.window", 0),
@@ -86,6 +90,8 @@ CROSS = [
     ("branches", {"grid": {"g_min": 0.0, "g_max": 0.0}}, "grid.g_min"),
     ("branches", {"grid": {"g_min": 0.05, "g_max": -0.05}}, "grid.g_min"),
     ("resonance", {"seed": 3, "resonance": {"g_min": 0.5, "g_max": 0.05}}, "resonance.g_min"),
+    ("perturb", {"perturb": {"n_points": 5}}, "perturb.n_points"),
+    ("perturb", {"perturb": {"n_points": 20}}, "perturb.n_points"),
 ]
 
 # their neighbours that run
@@ -94,6 +100,8 @@ CROSS_ACCEPTED = [
     ("branches", {"grid": {"g_min": 0.0, "g_max": 0.0, "n_points": 1}}),
     ("branches", {"grid": {"g_min": 0.1, "g_max": 0.05, "n_points": 3}}),
     ("resonance", {"resonance": {"g_min": 0.5, "g_max": 0.05, "n_samples": 2}}),
+    ("perturb", {"perturb": {"degree": 8, "n_points": 11}}),
+    ("perturb", {"perturb": {"degree": 5, "n_points": 9}}),
 ]
 
 
