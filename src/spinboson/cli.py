@@ -197,7 +197,7 @@ def _out(cfg: dict, name: str) -> str:
 def cmd_spectrum(cfg: dict) -> int:
     spec = spectral.labelled_spectrum(cfg["model"])
     rows = []
-    for k, e in enumerate(spec.eigenvalues):
+    for k, e in enumerate(spec.eigenvalues.tolist()):
         lab = spec.labels.get(k)
         n, s = ("", "") if lab is None else (str(lab.n), str(lab.s))
         rows.append([k, n, s, e])

@@ -175,7 +175,8 @@ class LabeledOperator:
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write nonzero entries as (i, j, value) triplets."""
         i, j = np.nonzero(self.entries)
-        write_csv(path, ["i", "j", "value"], zip(i, j, self.entries[i, j]))
+        values = self.entries[i, j]
+        write_csv(path, ["i", "j", "value"], zip(i.tolist(), j.tolist(), values.tolist()))
 
 
 def _empty(params: ModelParams, name: str) -> LabeledOperator:

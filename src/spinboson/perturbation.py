@@ -255,7 +255,12 @@ def build_table(
     _require_nondegenerate(omega, Omega)
     if levels is None:
         levels = [BasisIndex(n, s) for n in range(6) for s in (1, -1)]
-    branch = track_branches(params_base, np.linspace(-window, window, n_points))
+    if n_points % 2 == 0 or n_points < 3:
+        raise ValueError(f"n_points = {n_points} must be odd and at least 3")
+    # m steps either side of a middle point that is 0.0 exactly, as the
+    # labelling's anchor needs; linspace's need not be
+    m = n_points // 2
+    branch = track_branches(params_base, window * np.arange(-m, m + 1) / m)
     rows = []
     for lev in levels:
         fit = e_series_fit(branch, lev, degree)

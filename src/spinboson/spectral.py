@@ -96,17 +96,58 @@ class Spectrum:
         raise KeyError(f"no level labelled {label}")
 
 
-def _check_eigenpairs(hv: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-    """Residual and orthonormality bounds, given the product hv = H @ v."""
+def _check_residuals(hv: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Residual bound, given the product hv = H @ v; returns the residual norms."""
     scale = max(1.0, float(np.max(np.abs(w))))
     residual = np.linalg.norm(hv - v * w, axis=0)
     if np.max(residual) > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {np.max(residual):.3e} exceeds {RESIDUAL_TOL * scale:.3e}"
         )
-    ortho = np.max(np.abs(v.T @ v - np.eye(len(w))))
+    return residual
+
+
+def _check_gram(v: np.ndarray) -> None:
+    """Orthonormality bound from the Gram matrix V^T V - I, formed in O(N^3)."""
+    ortho = np.max(np.abs(v.T @ v - np.eye(v.shape[1])))
     if ortho > RESIDUAL_TOL:
         raise SolverError(f"eigenvector orthonormality defect {ortho:.3e}")
+
+
+def _enclosure_bound(
+    d: np.ndarray, e: np.ndarray, w: np.ndarray, v: np.ndarray, residual: np.ndarray
+) -> float:
+    """An upper bound on max|V^T V - I| for the ascending eigenpairs (w, v) of
+    the chain T = (d, e) in O(N^2), or inf when two enclosures touch.
+
+    Each [w_i - rho_i, w_i + rho_i] with rho_i = |T v_i - w_i v_i| / |v_i|
+    holds an eigenvalue of T (Kato). All N pairwise disjoint means one each,
+    so the nearest other eigenvalue is delta_i away at least, and Davis-Kahan
+    gives sin(v_i, u_i) <= s_i = rho_i / delta_i. As u_i is orthogonal to
+    u_j, |v_i^T v_j| <= n_i n_j (s_i + s_j + s_i s_j) with n_i = |v_i|.
+
+    rho_i carries a rounding slack 8u (max|d| + 2 max|e| + max|w|). Each entry
+    d_k v_k + e_k v_k+1 + e_k-1 v_k-1 - w_i v_k of the computed residual is a
+    sum of four products, so its rounding is at most gamma_4 < 4.01u times
+    the sum of their moduli, a vector of norm at most (max|d| + 2 max|e| +
+    |w_i|) |v_i|. The other half covers the relative rounding of the norms,
+    quotients and interval ends, since a residual that passed its check is
+    below 1e-10 of the scale. The squared norms, sums of N squares, get N u.
+    """
+    eps = np.finfo(float).eps  # 2u
+    n = len(w)
+    nsq = np.einsum("ij,ij->j", v, v)
+    rho = residual / np.sqrt(nsq) + 4 * eps * (
+        np.max(np.abs(d)) + 2 * np.max(np.abs(e), initial=0.0) + np.max(np.abs(w))
+    )
+    lo, hi = w - rho, w + rho
+    if np.any(lo[1:] <= hi[:-1]):
+        return math.inf
+    below = np.append(math.inf, w[1:] - hi[:-1])
+    above = np.append(lo[1:] - w[:-1], math.inf)
+    s1, s2 = np.sort(np.append(rho / np.minimum(below, above), 0.0))[-1:-3:-1]
+    top = float(np.max(nsq)) * (1 + n * eps)
+    return max(float(np.max(np.abs(nsq - 1))) + n * eps * top, top * (s1 + s2 + s1 * s2))
 
 
 def _attach_labels(
@@ -164,7 +205,8 @@ def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge on {name}") from exc
-    _check_eigenpairs(matrix @ v, w, v)
+    _check_residuals(matrix @ v, w, v)
+    _check_gram(v)
     return w, v
 
 
@@ -217,13 +259,15 @@ class BranchFamily:
         return float(self.energies[self.branch_index(label), self.grid_index(g)])
 
     def to_csv(self, path: str | os.PathLike) -> None:
+        n_grid = len(self.g_grid)
         write_csv(
             path,
             ["g", "label_n", "label_s", "eigenvalue"],
-            (
-                [g, lab.n, lab.s, self.energies[b, gi]]
-                for gi, g in enumerate(self.g_grid)
-                for b, lab in enumerate(self.labels)
+            zip(
+                np.repeat(self.g_grid, len(self.labels)).tolist(),
+                [lab.n for lab in self.labels] * n_grid,
+                [lab.s for lab in self.labels] * n_grid,
+                self.energies.T.ravel().tolist(),
             ),
         )
 
@@ -251,12 +295,15 @@ def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np
 
 
 def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenpairs of the chain with diagonal d and off-diagonal e."""
+    """Certified eigenpairs of the chain with diagonal d and off-diagonal e:
+    orthonormal by `_enclosure_bound` in O(N^2), else by the Gram matrix."""
     w, v = eigh_tridiagonal(d, e)
     tv = d[:, None] * v
     tv[:-1] += e[:, None] * v[1:]
     tv[1:] += e[:, None] * v[:-1]
-    _check_eigenpairs(tv, w, v)
+    residual = _check_residuals(tv, w, v)
+    if _enclosure_bound(d, e, w, v, residual) > RESIDUAL_TOL:
+        _check_gram(v)
     return w, v
 
 

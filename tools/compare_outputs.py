@@ -52,8 +52,9 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # side of Omega = 3 omega; a negative g; cross-spin transfers, one at a
 # negative g; a two-edge transfer; a ladder transfer searched over a single
 # period; chains whose continuation bisects and matches diabatically near
-# Omega = 5 omega, on either side of g = 0; and the degenerate slopes away
-# from omega = 1.
+# Omega = 5 omega, on either side of g = 0; the degenerate slopes away
+# from omega = 1; and branches through the tie Omega = omega at couplings
+# small enough that every chain solve proves orthonormality by its Gram matrix.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -66,6 +67,7 @@ REFERENCE = [
     _transfer(_model(1.05, 0.2, 16), {"n": 1, "s": -1}, max_periods=1),
     *(workloads.Op("chain", _model(4.999, g, 32)) for g in (-0.5, 0.5)),
     workloads.Op("degenerate", _model(0.7, 0.0, 16, omega=0.7)),
+    workloads.Op("branches", {**_model(1.0, 0.0, 64), "grid": {"g_min": -1e-3, "g_max": 1e-3}}),
 ]
 SETS = (*workloads.NAMES, "reference")
 
