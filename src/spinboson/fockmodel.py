@@ -28,6 +28,7 @@ __all__ = [
     "bare_energy",
     "photon_ladder",
     "tied",
+    "near_tied",
     "rabi_bands",
     "degenerate_basis",
     "build_rabi",
@@ -44,8 +45,19 @@ BASIS_CONVENTION = "k = 2n + (1-s)/2"
 TIE_TOL = 1e-12
 
 
-def tied(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b))
+def tied(a, b):
+    """Whether a and b (floats or arrays) agree to TIE_TOL relative to max(1, |a|, |b|)."""
+    return abs(a - b) <= TIE_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
+
+
+def near_tied(chain: np.ndarray, omega: float) -> bool:
+    """Whether a parity chain's bare energies, in chain order, hold a near-tie:
+    neighbours `tied` (Omega = omega), or two levels three or more steps apart
+    within omega (Omega >= 2 omega), which meet at Omega = (2k+1) omega and
+    couple only at order 2k+1. O(N^2) in the chain length N."""
+    gaps = np.subtract.outer(chain, chain)
+    close = np.abs(gaps, out=gaps) <= omega
+    return bool(np.any(tied(chain[:-1], chain[1:])) or np.triu(close, 3).any())
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@
 and orthonormality checks. Eigenpairs of a generic operator at one point are
 labelled by maximal overlap with the product basis. H_Rabi uses its parity
 symmetry instead: it splits into two tridiagonal (Jacobi) chains (0,P),
-(1,-P), (2,P), ... for P = +-1, each solved on its own N rows. Its
-unlabelled spectrum at one g takes one solve per chain; its labelled one is
-read off branches over a g-grid, which start each chain from the g = 0
-levels and keep their rank from one grid point to the next while every
-overlap clears the floor. An unreduced Jacobi matrix has a simple
-spectrum, so levels of one chain never cross for g != 0, but near odd
+(1,-P), (2,P), ... for P = +-1, each solved on its own N rows. An unreduced
+Jacobi matrix has a simple spectrum, so levels of one chain never cross for
+g != 0: its spectrum at one g, labelled or not, takes one solve per chain,
+whose r-th eigenpair, signed as the solver returns it, carries the label of
+the chain's r-th bare level. Near a tie (`fockmodel.near_tied`) labels and
+signs are read off branches over a g-grid, which start each chain from the g = 0 levels and keep their rank from one
+grid point to the next while every overlap clears the floor. Near odd
 resonances Omega ~ (2k+1) omega they pass through gaps of order g^(2k+1);
 there each branch takes the eigenvector of largest overlap, which follows
 the diabatic level. Each branch keeps a positive-overlap phase convention.
@@ -31,6 +32,7 @@ from .fockmodel import (
     ModelParams,
     basis_order,
     degenerate_basis,
+    near_tied,
     photon_ladder,
     rabi_bands,
     tied,
@@ -278,6 +280,11 @@ def _chains(n_fock: int) -> list[np.ndarray]:
     return [2 * n + (n + first) % 2 for first in (0, 1)]
 
 
+def _ranked(rows: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """A chain's linear indices in the stable ascending order of their bare energies."""
+    return rows[np.argsort(energies[rows], kind="stable")]
+
+
 def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np.ndarray]:
     """Branch labels, seed vectors (columns in label order) and energies at g = 0.
 
@@ -402,7 +409,7 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
         d = e_seed[rows]
         # branch columns (label linear indices), in the g = 0 rank order that
         # the first step tries first
-        cols = rows[np.argsort(d, kind="stable")]
+        cols = _ranked(rows, e_seed)
         for steps in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
             v_prev = v_seed[np.ix_(rows, cols)]
             rank = np.arange(len(rows))
@@ -419,15 +426,24 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
 
 
 def labelled_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum at params.g with labels carried by continuation from g = 0.
+    """Spectrum at params.g labelled by the analytic branches from g = 0.
 
-    Bare-basis overlap labelling degrades at strong coupling; continuation
-    along a g-grid recovers the analytic labelling. H(0) is diagonal, so at
-    g = 0 the spectrum is its bare energies with the product basis as vectors.
+    At g = 0 these are the bare levels, with the product basis as vectors.
+    Else a chain's branches never cross, so unless a chain is `near_tied`,
+    each chain's r-th eigenpair from one solve takes the label of its r-th
+    bare level, in the seed order of `track_branches`, and the solver's
+    signs; near a tie, labels and signs are carried by continuation.
     """
+    energies, _ = rabi_bands(params)
     if params.g == 0:
-        energies, _ = rabi_bands(params)
         return _rabi_at(params, energies, np.eye(params.dim), basis_order(params.n_fock))
+    chains = _chains(params.n_fock)
+    if not any(near_tied(energies[rows], params.omega) for rows in chains):
+        w, v = _chain_eigenpairs(params)
+        cols = np.empty(params.dim, dtype=np.intp)  # cols[k]: the column labelled k
+        for rows in chains:
+            cols[_ranked(rows, energies)] = rows
+        return _rabi_at(params, w[cols], v[:, cols], basis_order(params.n_fock))
     lo, hi = min(0.0, params.g), max(0.0, params.g)
     grid = np.unique(np.linspace(lo, hi, 21))  # a subnormal g repeats points
     family = track_branches(params, grid)

@@ -9,8 +9,9 @@ fresh interpreter, once against each source tree (`--head` defaults to
 this checkout's `src`), with BLAS pinned to one thread. For every output
 file it prints both exit codes, whether the bytes are equal and, per field
 (CSV column or JSON key path), the largest absolute difference and the
-number of sign flips. `--repeat N` runs the head tree N more times and
-reports whether its repeats are byte-identical. Float fields only report
+number of sign flips, then the largest difference of magnitudes, which a
+change of signs alone leaves at 0. `--repeat N` runs the head tree N more
+times and reports whether its repeats are byte-identical. Float fields only report
 their drift; a discrete field (a JSON int, bool, str or null, a CSV cell
 that is not a number) must be equal. Exits 1 when the runs of an
 operation end with different exit codes, a head repeat differs, the trees
@@ -54,7 +55,10 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # period; chains whose continuation bisects and matches diabatically near
 # Omega = 5 omega, on either side of g = 0; the degenerate slopes away
 # from omega = 1; and branches through the tie Omega = omega at couplings
-# small enough that every chain solve proves orthonormality by its Gram matrix.
+# small enough that every chain solve proves orthonormality by its Gram matrix;
+# last, a chain labelled by rank near the edge Omega = 2 omega of the near-tie
+# rule, and a spectrum at Omega = 4 omega, where the continuation's labels
+# depart from rank away from an odd resonance.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -68,6 +72,8 @@ REFERENCE = [
     *(workloads.Op("chain", _model(4.999, g, 32)) for g in (-0.5, 0.5)),
     workloads.Op("degenerate", _model(0.7, 0.0, 16, omega=0.7)),
     workloads.Op("branches", {**_model(1.0, 0.0, 64), "grid": {"g_min": -1e-3, "g_max": 1e-3}}),
+    workloads.Op("chain", _model(1.9, 0.5, 32)),
+    workloads.Op("spectrum", _model(4.0, 0.5, 32)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
@@ -127,21 +133,24 @@ def compare_file(base: Path, head: Path) -> tuple[bool, list[str]]:
         return False, ["bytes differ; structure DIFFERS"]
     fields: dict[str, list] = {}
     for (key, x), (_, y) in zip(a, b):
-        stat = fields.setdefault(key, [0, 0.0, 0, 0])  # count, max diff, flips, mismatches
+        # count, max diff, flips, max diff of magnitudes, mismatches
+        stat = fields.setdefault(key, [0, 0.0, 0, 0.0, 0])
         stat[0] += 1
         if isinstance(x, float) and isinstance(y, float):
             stat[1] = max(stat[1], abs(x - y))
             stat[2] += x * y < 0
+            stat[3] = max(stat[3], abs(abs(x) - abs(y)))
         elif x != y:
-            stat[3] += 1
+            stat[4] += 1
     lines = ["bytes differ"]
-    for key, (n, diff, flips, mismatches) in fields.items():
+    for key, (n, diff, flips, mag_diff, mismatches) in fields.items():
         if diff or flips or mismatches:
             lines.append(
                 f"  {key}: n={n} max_abs_diff={diff:.3e} sign_flips={flips}"
+                f" max_abs_mag_diff={mag_diff:.3e}"
                 + (f" non_numeric_mismatches={mismatches}" if mismatches else "")
             )
-    equal = sum(1 for n, diff, flips, m in fields.values() if not (diff or flips or m))
+    equal = sum(1 for n, diff, flips, _, m in fields.values() if not (diff or flips or m))
     lines.append(f"  {equal} of {len(fields)} fields equal")
     same_design = not any(m for *_, m in fields.values())
     if not same_design:
