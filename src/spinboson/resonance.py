@@ -124,6 +124,16 @@ class ScanReport:
         return dump_json(self.to_dict())
 
 
+def _close_pairs(keys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs p < q including every pair whose keys differ by <= reach exactly."""
+    order = np.argsort(keys)  # sorted, those follow s[i] up to fl(s[i] + reach)
+    s = keys[order]
+    n_next = np.searchsorted(s, s + reach, side="right") - np.arange(1, s.size + 1)
+    i = np.repeat(np.arange(s.size), n_next)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
+    return np.minimum(order[i], order[j]), np.maximum(order[i], order[j])
+
+
 def numeric_resonance_scan(
     spectrum: Spectrum, window: int, tol: float
 ) -> ScanReport:
@@ -147,14 +157,7 @@ def numeric_resonance_scan(
     w = spectrum.eigenvalues[:window]
     lo, hi = np.triu_indices(window, 1)  # level pairs in combinations order
     gaps = np.abs(w[hi] - w[lo])
-    # Sorted, a gap colliding with s[i] follows it, at most fl(s[i] + tol): rounding
-    # is monotone, so fl(s[j] - s[i]) < tol implies s[j] <= fl(s[i] + tol).
-    order = np.argsort(gaps)
-    s = gaps[order]
-    n_next = np.searchsorted(s, s + tol, side="right") - np.arange(1, s.size + 1)
-    i = np.repeat(np.arange(s.size), n_next)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
-    a, b = np.minimum(order[i], order[j]), np.maximum(order[i], order[j])
+    a, b = _close_pairs(gaps, tol)  # fl(d) < tol implies d < tol exactly
     diff = np.abs(gaps[a] - gaps[b])
     keep = np.lexsort((b, a))  # the loop's (pair_a, pair_b) order
     keep = keep[diff[keep] < tol]  # the loop's own predicate
@@ -339,10 +342,13 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
 
     Branches carry omega times their `bare_energy` in units of omega (the integer k
     at Omega = omega) and the splitting slope +-sqrt(k/2), 0 for the ground branch.
-    A violation is a nontrivial quadruple with equal order-0 gaps and slope differences.
+    A violation is a nontrivial quadruple with equal order-0 gaps and slope differences,
+    swept for on the sorted n**2 slope differences in O(n**2 log n + candidates).
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
+    if not np.isfinite(omega * (window // 2 + 1)):  # bounds the top branch energy
+        raise ValueError(f"omega {omega} overflows the energies of {window} levels")
     slope, levels = [0.0], [BasisIndex(0, -1)]  # ascending in energy
     for j in range(window // 2):
         slope += degenerate_slopes(j)
@@ -351,16 +357,13 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
     energy = [omega * bare_energy(lab.n, lab.s, 1.0, 1.0) for lab in levels]
     labels = [str(lab) for lab in levels]
     n = len(labels)
-    x = np.subtract.outer(energy, energy)  # x[c, d] = E_c - E_d
-    y = np.subtract.outer(slope[:n], slope[:n])
-    violations = []
-    for a, b in itertools.permutations(range(n), 2):
-        hit = ~(np.abs(x[a, b] - x) > _EXACT_TOL) & (np.abs(y[a, b] - y) <= _EXACT_TOL)
-        hit[a, b] = False
-        violations += [
-            (labels[a], labels[b], labels[c], labels[d])
-            for c, d in (divmod(k, n) for k in np.flatnonzero(hit).tolist())
-        ]
+    x, y = (np.subtract.outer(v, v).ravel() for v in (energy, slope[:n]))
+    p, q = _close_pairs(y, 2 * _EXACT_TOL)  # fl(d) <= tol implies d <= 2 tol
+    hit = ~(np.abs(x[p] - x[q]) > _EXACT_TOL) & (np.abs(y[p] - y[q]) <= _EXACT_TOL)
+    p, q = np.r_[p[hit], q[hit]], np.r_[q[hit], p[hit]]  # symmetric: both ways round
+    rows = np.column_stack(np.divmod(p, n) + np.divmod(q, n))[np.lexsort((q, p))]
+    rows = rows[rows[:, 0] != rows[:, 1]]  # a != b; (c, d) != (a, b) already, as p != q
+    violations = [tuple(labels[k] for k in row) for row in rows.tolist()]
     return {
         "window": window,
         "n_quadruples": n * (n - 1) * (n * n - 1),

@@ -56,9 +56,11 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # Omega = 5 omega, on either side of g = 0; the degenerate slopes away
 # from omega = 1; and branches through the tie Omega = omega at couplings
 # small enough that every chain solve proves orthonormality by its Gram matrix;
-# last, a chain labelled by rank near the edge Omega = 2 omega of the near-tie
+# then a chain labelled by rank near the edge Omega = 2 omega of the near-tie
 # rule, and a spectrum at Omega = 4 omega, where the continuation's labels
-# depart from rank away from an odd resonance.
+# depart from rank away from an odd resonance; last, the degenerate check at
+# omega = Omega = 1e-13, where every energy gap lies within the tolerance, so
+# its 440 violations (exit 1) pin the violation order.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -74,6 +76,9 @@ REFERENCE = [
     workloads.Op("branches", {**_model(1.0, 0.0, 64), "grid": {"g_min": -1e-3, "g_max": 1e-3}}),
     workloads.Op("chain", _model(1.9, 0.5, 32)),
     workloads.Op("spectrum", _model(4.0, 0.5, 32)),
+    workloads.Op(
+        "degenerate", {**_model(1e-13, 0.0, 16, omega=1e-13), "degenerate": {"window": 24}}
+    ),
 ]
 SETS = (*workloads.NAMES, "reference")
 
