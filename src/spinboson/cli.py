@@ -86,10 +86,11 @@ MINIMUM: dict[str, int | float] = {
     "degenerate.window": 2,  # the fewest levels that form a quadruple
     "degenerate.j_max": 0,
 }
-# Upper bounds of the keys that have one. A transfer search of 10**6 periods
-# took 5.5 s at n_fock 8; at ~5 us a period, 10**12 would run for months. The
-# quadruple check's n**2 slope differences took 0.37 s and 146 MB peak RSS at
-# window 1000, 1.5 s and 403 MB at 2000, growing about as window**2.
+# Upper bounds of the keys that have one. A transfer of 10**6 periods took
+# 1.8 s at n_fock 8, 0.7 s of it the search; at ~0.7 us a period, 10**12 would
+# run for over a week. The quadruple check's n**2 slope differences took 0.24 s
+# and 148 MB peak RSS at window 1000, 1.1 s and 415 MB at 2000, growing about
+# as window**2 (one OpenBLAS thread on a 2-vCPU x86-64 VM).
 MAXIMUM: dict[str, int] = {"transfer.max_periods": 10**6, "degenerate.window": 1000}
 TOP_LEVEL = {key for key in SCHEMA if "." not in key}
 SECTIONS = {key.split(".")[0] for key in SCHEMA} - TOP_LEVEL

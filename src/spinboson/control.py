@@ -8,8 +8,10 @@ products with the complex phase applied between them. Transfers are driven
 bang-bang between u = 0 and u = delta at the gap frequency of the mean
 Hamiltonian H0 + (delta/2)*B, which removes the static Stark detuning of the
 drive. The drive is periodic, so each edge's segment count is searched on
-its one-period (Floquet) operator in the driven eigenbasis, one matrix-vector
-product per period; only the kept segments are then stepped.
+its one-period (Floquet) operator P in the driven eigenbasis, B periods per
+matrix-vector product with P^B (baby-step/giant-step). B is the largest power
+of two with B^2 <= max_periods and B <= 2N, so the B precomputed rows never
+outgrow P; only the kept segments are then stepped.
 """
 
 from __future__ import annotations
@@ -123,8 +125,10 @@ class SegmentPropagator:
 
     `step` never forms a complex copy of the real eigenbasis: the state's
     real and imaginary parts go through each basis change as the two columns
-    of one real matrix product. `driven_fidelities` ranks square-wave segment
-    counts between 0 and delta on the one-period operator instead of stepping.
+    of one real matrix product, and each amplitude keeps the phase vector of its
+    last duration, which a square wave repeats. `driven_fidelities` ranks
+    square-wave segment counts between 0 and delta on the one-period operator
+    instead of stepping.
     """
 
     def __init__(self, h0: LabeledOperator, b: LabeledOperator, delta: float):
@@ -134,6 +138,7 @@ class SegmentPropagator:
         self.b = b.entries
         self.delta = delta
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._phases: dict[float, tuple[float, np.ndarray]] = {}  # last (duration, phase)
 
     def _decomposition(self, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
         if amplitude not in self._cache:
@@ -147,15 +152,19 @@ class SegmentPropagator:
     def step(self, psi: np.ndarray, duration: float, amplitude: float) -> np.ndarray:
         """exp(-i (H0 + u B) duration) psi as a new contiguous complex vector."""
         w, v = self._decomposition(amplitude)
-        coeffs = _real_matvec(v.T, psi) * np.exp(-1j * w * duration)
-        return _real_matvec(v, coeffs)
+        last = self._phases.get(amplitude)
+        if last is None or last[0] != duration:
+            last = self._phases[amplitude] = (duration, np.exp(-1j * w * duration))
+        return _real_matvec(v, _real_matvec(v.T, psi) * last[1])
 
     @cached_property
     def _overlap(self) -> np.ndarray:
         """V_0^T V_delta: the free eigenbasis against the driven one."""
         return self._decomposition(0.0)[1].T @ self._decomposition(self.delta)[1]
 
-    def driven_fidelities(self, psi: np.ndarray, far: np.ndarray, half: float):
+    def driven_fidelities(
+        self, psi: np.ndarray, far: np.ndarray, half: float, horizon: int | None = None
+    ):
         """|<far| psi(m)>|^2 for m = 0, 1, 2, ..., without end, where psi(m) is
         psi after 2m + 1 half-periods `half` of the square wave that starts on
         u = delta and alternates with u = 0; `far` is real.
@@ -163,24 +172,41 @@ class SegmentPropagator:
         No lab-basis state is built. In the driven eigenbasis one period is
         P = M^T Phi_0 M Phi_delta, with M = V_0^T V_delta and
         Phi_u = exp(-i w_u half), so the amplitude is r^T P^m c with
-        c = V_delta^T psi and r = Phi_delta * (V_delta^T far): one complex
-        matrix-vector product per period, and memory that does not grow with m.
+        c = V_delta^T psi and r = Phi_delta * (V_delta^T far). The periods go
+        in blocks of B = `_block_size(horizon, 2N)`: the rows r^T P^b, b < B,
+        and P^B come from log2(B) squarings, then each giant step is one
+        product P^B c and the B fidelities of a block one (B, 2N) @ (2N)
+        product. Memory does not grow with m; without a horizon, B = 1.
         """
         w_d, v_d = self._decomposition(self.delta)
         w_0, _ = self._decomposition(0.0)
         m = self._overlap
         phase_d = np.exp(-1j * w_d * half)
-        # built from real products, so P's own storage is the only complex
-        # (2N)^2 array: Re(M^T Phi_0 M) = M^T cos M, Im = -M^T sin M
-        period = np.empty(m.shape, dtype=complex)
-        period.real = m.T @ (m * np.cos(w_0 * half)[:, None])
-        period.imag = m.T @ (m * -np.sin(w_0 * half)[:, None])
-        period *= phase_d
+        # P is built from real products, with no complex (2N)^2 temporary:
+        # Re(M^T Phi_0 M) = M^T cos M, Im = -M^T sin M
+        power = np.empty(m.shape, dtype=complex)
+        power.real = m.T @ (m * np.cos(w_0 * half)[:, None])
+        power.imag = m.T @ (m * -np.sin(w_0 * half)[:, None])
+        power *= phase_d
         c = _real_matvec(v_d.T, psi)
-        r = phase_d * (v_d.T @ far)
+        rows = (phase_d * (v_d.T @ far))[None, :]
+        block = _block_size(horizon, len(c))
+        while len(rows) < block:
+            rows = np.vstack([rows, rows @ power])  # r^T P^b for b < 2 len(rows)
+            power = power @ power
         while True:
-            yield float(abs(r @ c) ** 2)
-            c = period @ c
+            yield from (np.abs(rows @ c) ** 2).tolist()
+            c = power @ c
+
+
+def _block_size(horizon: int | None, dim: int) -> int:
+    """Periods per giant step of `driven_fidelities`: the largest power of two B
+    with B^2 <= horizon and B <= dim, so the squarings pay for themselves and
+    the B rows never outgrow P; 1 without a horizon."""
+    block = 1
+    while horizon is not None and (2 * block) ** 2 <= horizon and 2 * block <= dim:
+        block *= 2
+    return block
 
 
 def _real_matvec(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -291,7 +317,7 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
         best_fid, best_count = float(abs(np.vdot(far, psi)) ** 2), 0
         # free evolution cannot change the fidelity to an H0 eigenstate, so
         # only counts ending on a driven half-period are ranked
-        search = prop.driven_fidelities(psi, far, half)
+        search = prop.driven_fidelities(psi, far, half, max_periods)
         for m, fid in enumerate(itertools.islice(search, max_periods)):
             if fid > best_fid:
                 best_fid, best_count = fid, 2 * m + 1

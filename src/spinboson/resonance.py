@@ -343,7 +343,8 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
     Branches carry omega times their `bare_energy` in units of omega (the integer k
     at Omega = omega) and the splitting slope +-sqrt(k/2), 0 for the ground branch.
     A violation is a nontrivial quadruple with equal order-0 gaps and slope differences,
-    swept for on the sorted n**2 slope differences in O(n**2 log n + candidates).
+    swept for on the sorted n**2 slope differences in O(n**2 log n + candidates);
+    the n diagonal differences, all exactly 0, enter the sweep as one.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -358,11 +359,21 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
     labels = [str(lab) for lab in levels]
     n = len(labels)
     x, y = (np.subtract.outer(v, v).ravel() for v in (energy, slope[:n]))
-    p, q = _close_pairs(y, 2 * _EXACT_TOL)  # fl(d) <= tol implies d <= 2 tol
+    # the diagonal entries k = a*(n + 1) all have x = y = 0 exactly, so entry 0
+    # stands for all of them in the sweep
+    flat = np.arange(n * n)
+    keys = flat[(flat % (n + 1) != 0) | (flat == 0)]
+    # fl(d) <= tol implies d <= 2 tol
+    p, q = (keys[i] for i in _close_pairs(y[keys], 2 * _EXACT_TOL))
     hit = ~(np.abs(x[p] - x[q]) > _EXACT_TOL) & (np.abs(y[p] - y[q]) <= _EXACT_TOL)
-    p, q = np.r_[p[hit], q[hit]], np.r_[q[hit], p[hit]]  # symmetric: both ways round
+    p, q, diag = p[hit], q[hit], p[hit] == 0  # entry 0 sorts first, so it is p
+    # both ways round, except (a, b) on the diagonal, which a != b excludes;
+    # (c, d) on it expands to all n diagonal entries
+    p, q = (
+        np.r_[p[~diag], q[~diag], np.repeat(q[diag], n)],
+        np.r_[q[~diag], p[~diag], np.tile(np.arange(n) * (n + 1), diag.sum())],
+    )
     rows = np.column_stack(np.divmod(p, n) + np.divmod(q, n))[np.lexsort((q, p))]
-    rows = rows[rows[:, 0] != rows[:, 1]]  # a != b; (c, d) != (a, b) already, as p != q
     violations = [tuple(labels[k] for k in row) for row in rows.tolist()]
     return {
         "window": window,
