@@ -9,9 +9,10 @@ bang-bang between u = 0 and u = delta at the gap frequency of the mean
 Hamiltonian H0 + (delta/2)*B, which removes the static Stark detuning of the
 drive. The drive is periodic, so each edge's segment count is searched on
 its one-period (Floquet) operator P in the driven eigenbasis, B periods per
-matrix-vector product with P^B (baby-step/giant-step). B is the largest power
-of two with B^2 <= max_periods and B <= 2N, so the B precomputed rows never
-outgrow P; only the kept segments are then stepped.
+matrix-vector product with P^B (baby-step/giant-step). B is a power of two
+<= 2N, so the B precomputed rows never outgrow P, and it doubles only while
+the flops of one more squaring are fewer than those of the products it saves
+over max_periods; only the kept segments are then stepped.
 """
 
 from __future__ import annotations
@@ -200,11 +201,15 @@ class SegmentPropagator:
 
 
 def _block_size(horizon: int | None, dim: int) -> int:
-    """Periods per giant step of `driven_fidelities`: the largest power of two B
-    with B^2 <= horizon and B <= dim, so the squarings pay for themselves and
-    the B rows never outgrow P; 1 without a horizon."""
+    """Periods per giant step of `driven_fidelities`, a power of two B chosen by
+    flop count: doubling B costs one more squaring of P (dim^3 complex
+    multiply-adds) and B more rows (B dim^2), and saves horizon / (2B) giant
+    steps of dim^2 each. So B doubles while horizon > 2B (dim + B), and while
+    2B <= dim, so the B rows never outgrow P; 1 without a horizon. A squaring
+    runs faster per flop than a matrix-vector product, so the count errs
+    towards small B."""
     block = 1
-    while horizon is not None and (2 * block) ** 2 <= horizon and 2 * block <= dim:
+    while horizon is not None and 2 * block <= dim and horizon > 2 * block * (dim + block):
         block *= 2
     return block
 

@@ -4,8 +4,9 @@
 2N)` consecutive fidelities per product with P^B. Its curve must equal the
 stepped one to `SEARCH_TOL`, and the first strict maximum, which `_sweep`
 keeps, must sit where the per-period search (no horizon, B = 1) puts it.
-`max_periods` is drawn across the block edges and above 4 (2N)^2, where B is
-capped by 2N.
+`max_periods` is drawn at small fixed values, at and just past each
+horizon 2B (2N + B) where B doubles, and above 4 (2N)^2, where B is capped
+by 2N.
 """
 
 import itertools
@@ -46,9 +47,11 @@ def first_strict_max(start, curve):
 def test_blocked_search_matches_the_stepped_curve(n_fock, Omega, g, delta, data):
     params = ModelParams(1.0, Omega, g, n_fock)
     dim = params.dim
+    doublings = [2 * b * (dim + b) for b in (1, 2, 4, 8, 16) if 2 * b <= dim]
     max_periods = data.draw(
         st.one_of(
             st.sampled_from(BLOCK_EDGES),
+            st.builds(int.__add__, st.sampled_from(doublings), st.integers(0, 1)),
             st.integers(4 * dim**2 + 1, 4 * dim**2 + 64),
         ),
         label="max_periods",
@@ -87,10 +90,15 @@ def test_block_size_rule():
                 assert block == 1
             assert block & (block - 1) == 0  # a power of two
             assert block <= dim and block**2 <= horizon
-            # the largest such: doubling breaks one of the two bounds
-            assert 2 * block > dim or (2 * block) ** 2 > horizon
-    assert _block_size(2000, 256) == 32
+            # each doubling saved more giant-step flops than its squaring and
+            # rows cost, and the next one would not, or would outgrow dim
+            b = block // 2
+            assert block == 1 or horizon > 2 * b * (dim + b)
+            assert 2 * block > dim or horizon <= 2 * block * (dim + block)
+    assert _block_size(2000, 128) == 8
+    assert _block_size(2000, 256) == 4
     assert _block_size(2000, 10) == 8
+    assert _block_size(2000, 2048) == 1  # a squaring would cost 2048 products
     assert _block_size(10**6, 16) == 16
 
 
@@ -110,18 +118,21 @@ def test_sweep_blocks_by_max_periods(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_fock, target, max_periods",
+    "n_fock, target, max_periods, block",
     [
-        (16, BasisIndex(1, -1), 3),
-        (16, BasisIndex(1, -1), 4),
-        (16, BasisIndex(1, -1), 64),
-        (16, BasisIndex(0, 1), 2000),
-        (8, BasisIndex(1, -1), 2000),
+        (16, BasisIndex(1, -1), 3, 1),
+        (16, BasisIndex(1, -1), 100, 2),
+        (16, BasisIndex(1, -1), 200, 4),
+        (16, BasisIndex(0, 1), 2000, 32),
+        (8, BasisIndex(1, -1), 2000, 16),
     ],
 )
-def test_blocked_transfer_equals_per_period_transfer(monkeypatch, n_fock, target, max_periods):
+def test_blocked_transfer_equals_per_period_transfer(
+    monkeypatch, n_fock, target, max_periods, block
+):
     """The kept counts, and so every stepped output, do not depend on B."""
     params = ModelParams(1.0, 1.05, 0.2, n_fock)
+    assert _block_size(max_periods, params.dim) == block
 
     def run():
         return control.transfer_experiment(

@@ -61,10 +61,10 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # depart from rank away from an odd resonance; then the degenerate check at
 # omega = Omega = 1e-13, where every energy gap lies within the tolerance, so
 # its 440 violations (exit 1) pin the violation order. Last, the transfer
-# search in each regime of its block size B (periods per giant step): B = 1
-# at max_periods 3, B = 2 at 4, B capped at 8 by 2N = 10 at n_fock 5 (at
-# n_fock 4 the trusted window of one level holds no path), and the
-# n_fock 8 ladder at 10**5 periods (B = 16).
+# search in each regime of its block size B (periods per giant step): at
+# n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 2 at 100, B capped at 8
+# by 2N = 10 at n_fock 5 (at n_fock 4 the trusted window of one level holds
+# no path), and the n_fock 8 ladder at 10**5 periods (B = 16).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -83,7 +83,7 @@ REFERENCE = [
     workloads.Op(
         "degenerate", {**_model(1e-13, 0.0, 16, omega=1e-13), "degenerate": {"window": 24}}
     ),
-    *(_transfer(_model(1.05, 0.2, 16), {"n": 1, "s": -1}, max_periods=m) for m in (3, 4)),
+    *(_transfer(_model(1.05, 0.2, 16), {"n": 1, "s": -1}, max_periods=m) for m in (3, 100)),
     _transfer(_model(1.05, 0.2, 5), {"n": 1, "s": -1}, window=2),
     _transfer(_model(1.05, 0.2, 8), {"n": 1, "s": -1}, max_periods=10**5),
 ]
