@@ -231,6 +231,11 @@ def _g_range(cfg: dict, section: str) -> tuple[float, float]:
 def cmd_branches(cfg: dict) -> int:
     (lo, hi), n = _g_range(cfg, "grid"), cfg["grid.n_points"]
     grid = np.linspace(lo, hi, n)
+    if n > 1 and lo == -hi:
+        # mirror the upper half exactly: each |g| is then one chain solve
+        # for both signs (see `spectral.track_branches`)
+        upper = grid[(n + 1) // 2 :]
+        grid = np.concatenate([-upper[::-1], [0.0], upper])
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
     if np.any(np.diff(grid) <= 0):

@@ -142,7 +142,7 @@ class BasisIndex:
 
 def basis_order(n_fock: int) -> list[BasisIndex]:
     """Ordered basis list matching the linear index convention."""
-    return [BasisIndex.from_linear(k) for k in range(2 * n_fock)]
+    return [BasisIndex(n, s) for n in range(n_fock) for s in (1, -1)]
 
 
 @dataclass

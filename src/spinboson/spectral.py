@@ -9,11 +9,21 @@ Jacobi matrix has a simple spectrum, so levels of one chain never cross for
 g != 0: its spectrum at one g, labelled or not, takes one solve per chain,
 whose r-th eigenpair, signed as the solver returns it, carries the label of
 the chain's r-th bare level. Near a tie (`fockmodel.near_tied`) labels and
-signs are read off branches over a g-grid, which start each chain from the g = 0 levels and keep their rank from one
-grid point to the next while every overlap clears the floor. Near odd
-resonances Omega ~ (2k+1) omega they pass through gaps of order g^(2k+1);
-there each branch takes the eigenvector of largest overlap, which follows
-the diabatic level. Each branch keeps a positive-overlap phase convention.
+signs are read off branches over a g-grid, which start each chain from the
+g = 0 levels and keep their rank from one grid point to the next while every
+overlap clears the floor. Near odd resonances Omega ~ (2k+1) omega they pass
+through gaps of order g^(2k+1); there each branch takes the eigenvector of
+largest overlap, which follows the diabatic level. Each branch keeps a
+positive-overlap phase convention.
+
+The spectrum is even in g: H(-g) = Pi H(g) Pi for the photon parity
+Pi = (-1)^(a^dag a), which on a chain of diagonal d and couplings e is the
+sign flip T(d, -e) = D T(d, e) D with D = diag((-1)^r). So the eigenpairs at
+-g are (w, D v) for the eigenpairs (w, v) at |g|, exactly, and their residual
+entries are those of (w, v) up to sign: the certificate of the solve at |g|
+covers both. The LAPACK solver reproduces this bit for bit, returning the
+same eigenvalues and D v up to column signs. The continuation and the
+Hellmann-Feynman stencil solve each |g| once and mirror it for g < 0.
 """
 
 from __future__ import annotations
@@ -62,6 +72,10 @@ AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
 OVERLAP_FLOOR = 0.8  # continuation overlap below which a step is matched or bisected
 SLOPE_TOL = 1e-6  # Hellmann-Feynman slope discrepancy that still counts as ok
+# eigenvectors whose residuals a chain solve forms together: whole N x N
+# temporaries leave the cache from N = 256 on, and blocks much smaller than 64
+# pay numpy's per-call cost (64 was within 5% of the fastest block at N = 64-1024)
+_RESIDUAL_BLOCK = 64
 
 
 class SolverError(RuntimeError):
@@ -98,15 +112,13 @@ class Spectrum:
         raise KeyError(f"no level labelled {label}")
 
 
-def _check_residuals(hv: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Residual bound, given the product hv = H @ v; returns the residual norms."""
+def _check_residuals(residual: np.ndarray, w: np.ndarray) -> None:
+    """Residual bound on the norms |H v_i - w_i v_i| of the eigenpairs (w, v)."""
     scale = max(1.0, float(np.max(np.abs(w))))
-    residual = np.linalg.norm(hv - v * w, axis=0)
     if np.max(residual) > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {np.max(residual):.3e} exceeds {RESIDUAL_TOL * scale:.3e}"
         )
-    return residual
 
 
 def _check_gram(v: np.ndarray) -> None:
@@ -207,7 +219,7 @@ def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge on {name}") from exc
-    _check_residuals(matrix @ v, w, v)
+    _check_residuals(np.linalg.norm(matrix @ v - v * w, axis=0), w)
     _check_gram(v)
     return w, v
 
@@ -228,7 +240,8 @@ class BranchFamily:
     """Label-consistent eigenpair curves of H_Rabi over a g-grid.
 
     At grid point gi, branch b is column `columns[gi, b]` of the chain solve
-    (the seed at g = 0) times `signs[gi, b]`; only these choices are stored.
+    (the seed at g = 0, the mirrored solve at |g| for g < 0) times
+    `signs[gi, b]`; only these choices are stored.
     """
 
     params_base: ModelParams
@@ -240,13 +253,17 @@ class BranchFamily:
     overlap_floor: float
 
     def vectors_at(self, gi: int) -> np.ndarray:
-        """(2N, n_branch) eigenvectors at grid point gi in branch order, re-solved."""
+        """(2N, n_branch) eigenvectors at grid point gi in branch order, re-solved.
+
+        H(-g) = Pi H(g) Pi for the photon parity Pi = (-1)^(a^dag a), and the
+        eigenvectors at -g are those at |g| with the rows of odd photon number
+        negated, exactly. So at g < 0 the chains are solved at |g| and mirrored,
+        as the continuation did, and the vectors match its own bit for bit."""
         g = float(self.g_grid[gi])
         if g == 0:
-            v = _seed_at_zero(self.params_base)[1]
-        else:
-            v = _chain_eigenpairs(self.params_base.with_g(g))[1]
-        return v[:, self.columns[gi]] * self.signs[gi]
+            return _seed_at_zero(self.params_base)[1][:, self.columns[gi]] * self.signs[gi]
+        _, vecs = _chain_eigenpairs(self.params_base.with_g(abs(g)))
+        return _placed(vecs, self.columns[gi], self.signs[gi], g < 0)
 
     def branch_index(self, label: BasisIndex) -> int:
         return self.labels.index(label)
@@ -305,38 +322,76 @@ def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenpairs of the chain with diagonal d and off-diagonal e:
     orthonormal by `_enclosure_bound` in O(N^2), else by the Gram matrix."""
     w, v = eigh_tridiagonal(d, e)
-    tv = d[:, None] * v
-    tv[:-1] += e[:, None] * v[1:]
-    tv[1:] += e[:, None] * v[:-1]
-    residual = _check_residuals(tv, w, v)
+    residual = np.empty(len(w))
+    for lo in range(0, len(w), _RESIDUAL_BLOCK):
+        # rows of v.T are eigenvectors, contiguous as LAPACK returns v in
+        # Fortran order; each entry is a sum of four products, as the rounding
+        # slack of `_enclosure_bound` assumes
+        at = slice(lo, lo + _RESIDUAL_BLOCK)
+        u = v.T[at]
+        r = u * d
+        r[:, :-1] += u[:, 1:] * e
+        r[:, 1:] += u[:, :-1] * e
+        r -= w[at, None] * u
+        residual[at] = np.sqrt(np.einsum("ij,ij->i", r, r))
+    _check_residuals(residual, w)
     if _enclosure_bound(d, e, w, v, residual) > RESIDUAL_TOL:
         _check_gram(v)
     return w, v
 
 
-def _rabi_at(params: ModelParams, w, v, labels) -> Spectrum:
-    """H_Rabi at params.g from eigenpairs in any column order, stably sorted ascending:
-    column b labelled labels[b] unless labels is None, trusted per `trusted_levels`."""
-    order = np.argsort(w, kind="stable")
-    by_rank = {} if labels is None else {r: labels[b] for r, b in enumerate(order)}
-    w, v = w[order], v[:, order]
-    return Spectrum(params, "H_Rabi", w, v, by_rank, [], trusted_levels(params))
-
-
-def _chain_eigenpairs(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenpairs of H_Rabi at params.g, one solve per chain, in
-    chain order (unsorted) and with no trust scan."""
+def _chain_eigenpairs(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Certified eigenpairs of H_Rabi at params.g, one solve per chain, with no
+    trust scan: the eigenvalues by solve index (the r-th eigenpair of the chain
+    whose r-th row is k has index k) and each chain's N x N eigenvectors."""
     diag, couplings = rabi_bands(params)
     w = np.empty(params.dim)
-    v = np.zeros((params.dim, params.dim))
+    vecs = []
     for rows in _chains(params.n_fock):
-        w[rows], v[rows[:, None], rows] = _solve_chain(diag[rows], couplings)
-    return w, v
+        w[rows], v = _solve_chain(diag[rows], couplings)
+        vecs.append(v)
+    return w, vecs
+
+
+def _placed(vecs: list[np.ndarray], src: np.ndarray, signs=None, mirror: bool = False):
+    """The 2N x 2N matrix whose column j is the eigenvector of solve index
+    src[j] of the chain solves `vecs` (see `_chain_eigenpairs`), times signs[j]
+    if given, each chain's columns placed in one step. With `mirror`, rows of
+    odd photon number are negated: the solves at |g| become those at -g (see
+    the module docstring).
+    """
+    n_fock = len(vecs[0])
+    dim = 2 * n_fock
+    dest = np.empty(dim, dtype=np.intp)
+    dest[src] = np.arange(dim)
+    # Fortran order, the layout the outputs are computed with (BLAS products
+    # round by layout); filled through v.T, whose row j holds column j's
+    # entries 2n + slot, where chain `first` holds photon n in slot (n + first) % 2
+    v = np.zeros((dim, dim), order="F")
+    by_photon = v.T.reshape(dim, n_fock, 2)
+    for first, (rows, vc) in enumerate(zip(_chains(n_fock), vecs)):
+        cols = dest[rows]
+        by_photon[cols, 0::2, first] = vc[0::2].T
+        by_photon[cols, 1::2, 1 - first] = -vc[1::2].T if mirror else vc[1::2].T
+    if signs is not None:
+        v *= signs
+    return v
+
+
+def _rabi_at(params: ModelParams, w, vecs, src, labels, signs=None, mirror=False) -> Spectrum:
+    """H_Rabi at params.g from the chain solves (w, vecs), stably sorted ascending
+    in the order of src: item b is eigenpair src[b] as `_placed` forms it,
+    labelled labels[b] unless labels is None, trusted per `trusted_levels`."""
+    order = np.argsort(w[src], kind="stable")
+    ranked = src[order]
+    v = _placed(vecs, ranked, None if signs is None else signs[order], mirror)
+    by_rank = {} if labels is None else dict(enumerate(labels[b] for b in order.tolist()))
+    return Spectrum(params, "H_Rabi", w[ranked], v, by_rank, [], trusted_levels(params))
 
 
 def rabi_spectrum(params: ModelParams) -> Spectrum:
     """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
-    return _rabi_at(params, *_chain_eigenpairs(params), None)
+    return _rabi_at(params, *_chain_eigenpairs(params), np.arange(params.dim), None)
 
 
 def _continue_chain(
@@ -347,36 +402,46 @@ def _continue_chain(
     rank0: np.ndarray,
     g1: float,
     depth: int,
+    solved: tuple[np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve one chain at g1 and match its eigenpairs to the branches v0 at g0.
 
-    Branch j had rank rank0[j] at g0 and keeps it while every branch's
-    overlap clears OVERLAP_FLOOR. Otherwise each branch takes the eigenvector
-    of largest |overlap|; across a crossing too narrow to resolve on the step,
-    this follows the diabatic level. If that is no permutation clearing the
-    floor either, the step is halved, at most `depth` times. Returns the
-    energies and sign-aligned vectors in branch order, the ranks, the signs
-    and the worst overlap.
+    The eigenpairs at g1 are (w, D v) for the certified solve (w, v) at |g1|,
+    which `solved` holds when the caller has it, with D = 1 for g1 >= 0 (see
+    the module docstring). Branch j had rank rank0[j] at g0 and keeps it while
+    every branch's overlap clears OVERLAP_FLOOR. Otherwise each branch takes
+    the eigenvector of largest |overlap|; across a crossing too narrow to
+    resolve on the step, this follows the diabatic level. If that is no
+    permutation clearing the floor either, the step is halved, at most `depth`
+    times. Returns the energies and sign-aligned vectors in branch order, the
+    ranks, the signs and the worst overlap.
     """
-    w, v = _solve_chain(d, g1 * c)
+    solve = _solve_chain(d, abs(g1) * c) if solved is None else solved
+    w, v = solve
+    if g1 < 0:
+        v = v * np.where(np.arange(len(d)) % 2, -1.0, 1.0)[:, None]
     rank = rank0
-    overlap = np.einsum("ij,ij->j", v0, v[:, rank])
+    u = v if np.array_equal(rank, np.arange(len(rank))) else v[:, rank]
+    overlap = np.einsum("ij,ij->j", v0, u)
     if np.min(np.abs(overlap)) < OVERLAP_FLOOR:
         m = v0.T @ v
         rank = np.argmax(np.abs(m), axis=1)
         overlap = m[np.arange(len(rank)), rank]
+        u = v[:, rank]
     worst = float(np.min(np.abs(overlap)))
     if worst >= OVERLAP_FLOOR and len(np.unique(rank)) == len(rank):
         sign = np.where(overlap < 0, -1.0, 1.0)
-        return w[rank], v[:, rank] * sign, rank, sign, worst
+        # the solve may serve the other side of g = 0 too: never write into it
+        u = u * sign if u is solve[1] else np.multiply(u, sign, out=u)
+        return w[rank], u, rank, sign, worst
     if depth <= 0:
         raise GridRefinementError(
             f"overlap {worst:.3f} below floor {OVERLAP_FLOOR} between g={g0} and "
             f"g={g1} after maximal bisection; refine the grid near this interval"
         )
     gm = 0.5 * (g0 + g1)
-    _, vm, rm, _, o1 = _continue_chain(d, c, g0, v0, rank0, gm, depth - 1)
-    w1, v1, r1, s1, o2 = _continue_chain(d, c, gm, vm, rm, g1, depth - 1)
+    _, vm, rm, _, o1 = _continue_chain(d, c, g0, v0, rank0, gm, depth - 1, None)
+    w1, v1, r1, s1, o2 = _continue_chain(d, c, gm, vm, rm, g1, depth - 1, solve)
     return w1, v1, r1, s1, min(o1, o2)
 
 
@@ -384,7 +449,13 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
     """Track every eigenpair of H_Rabi over the grid, seeded at g = 0.
 
     Each parity chain is solved on its own, and its branches are continued
-    from the g = 0 seed by overlap (see `_continue_chain`).
+    from the g = 0 seed by overlap (see `_continue_chain`), out to both sides
+    of g = 0 in lockstep by |g|. H(-g) = Pi H(g) Pi for the photon parity Pi,
+    so a chain's eigenpairs at -g are those at |g| with the rows of odd photon
+    number negated, exactly, and their residuals equal up to sign (see the
+    module docstring). A |g| that the grid holds on both sides therefore takes
+    one certified solve per chain, which both sides read; bisection midpoints
+    are solved on their own.
     """
     grid = np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -404,23 +475,28 @@ def track_branches(params_base: ModelParams, g_grid, max_refine: int = 6) -> Bra
     columns[i0] = np.arange(params_base.dim)
     signs = np.ones((len(grid), params_base.dim))
     floor_seen = 1.0
+    # g = 0 first, then each side's points in the order it walks them
+    by_size = np.argsort(np.abs(grid), kind="stable")[1:]
 
     for rows in _chains(params_base.n_fock):
         d = e_seed[rows]
         # branch columns (label linear indices), in the g = 0 rank order that
         # the first step tries first
         cols = _ranked(rows, e_seed)
-        for steps in (range(i0 + 1, len(grid)), range(i0 - 1, -1, -1)):
-            v_prev = v_seed[np.ix_(rows, cols)]
-            rank = np.arange(len(rows))
-            g_prev = 0.0
-            for gi in steps:
-                w, v_prev, rank, sign, worst = _continue_chain(
-                    d, c, g_prev, v_prev, rank, float(grid[gi]), max_refine
-                )
-                energies[cols, gi], columns[gi, cols], signs[gi, cols] = w, rows[rank], sign
-                floor_seen = min(floor_seen, worst)
-                g_prev = float(grid[gi])
+        seed = v_seed[np.ix_(rows, cols)], np.arange(len(rows)), 0.0
+        walks = {False: seed, True: seed}  # branch vectors, ranks and g, by g > 0
+        at = None  # the |g| that `solved` holds
+        for gi in by_size:
+            g1 = float(grid[gi])
+            if abs(g1) != at:
+                solved, at = _solve_chain(d, abs(g1) * c), abs(g1)
+            v_prev, rank, g_prev = walks[g1 > 0]
+            w, v_prev, rank, sign, worst = _continue_chain(
+                d, c, g_prev, v_prev, rank, g1, max_refine, solved
+            )
+            walks[g1 > 0] = v_prev, rank, g1
+            energies[cols, gi], columns[gi, cols], signs[gi, cols] = w, rows[rank], sign
+            floor_seen = min(floor_seen, worst)
 
     return BranchFamily(params_base, grid, labels, energies, columns, signs, floor_seen)
 
@@ -436,19 +512,22 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
     """
     energies, _ = rabi_bands(params)
     if params.g == 0:
-        return _rabi_at(params, energies, np.eye(params.dim), basis_order(params.n_fock))
+        eye, labels = np.eye(params.n_fock), basis_order(params.n_fock)
+        return _rabi_at(params, energies, [eye, eye], np.arange(params.dim), labels)
     chains = _chains(params.n_fock)
     if not any(near_tied(energies[rows], params.omega) for rows in chains):
-        w, v = _chain_eigenpairs(params)
         cols = np.empty(params.dim, dtype=np.intp)  # cols[k]: the column labelled k
         for rows in chains:
             cols[_ranked(rows, energies)] = rows
-        return _rabi_at(params, w[cols], v[:, cols], basis_order(params.n_fock))
+        return _rabi_at(params, *_chain_eigenpairs(params), cols, basis_order(params.n_fock))
     lo, hi = min(0.0, params.g), max(0.0, params.g)
     grid = np.unique(np.linspace(lo, hi, 21))  # a subnormal g repeats points
     family = track_branches(params, grid)
     gi = family.grid_index(params.g)
-    return _rabi_at(params, family.energies[:, gi], family.vectors_at(gi), family.labels)
+    w, vecs = _chain_eigenpairs(params.with_g(abs(params.g)))
+    return _rabi_at(
+        params, w, vecs, family.columns[gi], family.labels, family.signs[gi], params.g < 0
+    )
 
 
 def stencil_slope(f, h: float) -> float:
@@ -462,16 +541,23 @@ def hellmann_feynman_check(
     """Compare dE/dg (finite differences) against the Rayleigh value <v, V v>.
 
     Uses a 4th-order centered stencil with step h = 1e-3 * max(1, |g|); each
-    stencil point is solved fresh on the two chains, with no trust scan, and
-    matched by overlap, so g may be any grid point, an end one included.
+    stencil point g + d is read off one solve of the two chains at |g + d|,
+    mirrored below 0 (see the module docstring), with no trust scan,
+    and matched by overlap, so g may be any grid point, an end one included.
+    At g = 0 the points -h and -2h share the solves of h and 2h.
     """
     gi = branch.grid_index(g)
     h = 1e-3 * max(1.0, abs(g))
-
+    params = branch.params_base
     vectors = branch.vectors_at(gi)
+    solves = {}
 
     def energies(d: float) -> np.ndarray:
-        w, v = _chain_eigenpairs(branch.params_base.with_g(g + d))
+        at = g + d
+        if abs(at) not in solves:
+            solves[abs(at)] = _chain_eigenpairs(params.with_g(abs(at)))
+        w, vecs = solves[abs(at)]
+        v = _placed(vecs, np.arange(params.dim), mirror=at < 0)
         return w[np.argmax(np.abs(vectors.T @ v), axis=1)]
 
     rows = []

@@ -25,12 +25,12 @@ def test_vectors_at_holds_what_the_continuation_returned(monkeypatch, Omega, n_f
     real = spectral._continue_chain
     nesting, steps, inner = [0], [], []
 
-    def recording(d, c, g0, v0, rank0, g1, depth):
+    def recording(d, c, g0, v0, rank0, g1, depth, solved):
         if nesting[0]:
             inner.append(g1)
         nesting[0] += 1
         try:
-            out = real(d, c, g0, v0, rank0, g1, depth)
+            out = real(d, c, g0, v0, rank0, g1, depth, solved)
         finally:
             nesting[0] -= 1
         if not nesting[0]:

@@ -64,7 +64,10 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # search in each regime of its block size B (periods per giant step): at
 # n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 2 at 100, B capped at 8
 # by 2N = 10 at n_fock 5 (at n_fock 4 the trusted window of one level holds
-# no path), and the n_fock 8 ladder at 10**5 periods (B = 16).
+# no path), and the n_fock 8 ladder at 10**5 periods (B = 16). Then branches
+# over a range symmetric about 0 whose steps bisect near Omega = 5 omega, both
+# signs of g sharing each mirrored chain solve, and branches over an asymmetric
+# range, whose grid stays linspace's.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -86,6 +89,11 @@ REFERENCE = [
     *(_transfer(_model(1.05, 0.2, 16), {"n": 1, "s": -1}, max_periods=m) for m in (3, 100)),
     _transfer(_model(1.05, 0.2, 5), {"n": 1, "s": -1}, window=2),
     _transfer(_model(1.05, 0.2, 8), {"n": 1, "s": -1}, max_periods=10**5),
+    workloads.Op(
+        "branches",
+        {**_model(4.999, 0.0, 32), "grid": {"g_min": -0.5, "g_max": 0.5, "n_points": 11}},
+    ),
+    workloads.Op("branches", {**_model(1.05, 0.0, 32), "grid": {"g_min": -0.02, "g_max": 0.05}}),
 ]
 SETS = (*workloads.NAMES, "reference")
 
