@@ -24,16 +24,28 @@ entries are those of (w, v) up to sign: the certificate of the solve at |g|
 covers both. The LAPACK solver reproduces this bit for bit, returning the
 same eigenvalues and D v up to column signs. The continuation and the
 Hellmann-Feynman stencil solve each |g| once and mirror it for g < 0.
+
+The chains are solved by the LAPACK drivers that scipy.linalg's
+`eigh_tridiagonal` and `eigvalsh_tridiagonal` choose: dstevd (divide and
+conquer; SciPy 1.17's `auto` driver for all eigenvalues, not MRRR) with and
+without vectors, and dstebz (bisection) for one eigenvalue by index. They are
+loaded from SciPy's extension scipy/linalg/_flapack by its file, which skips
+the package init of scipy and scipy.linalg (over half of the CLI's start-up),
+and called with SciPy's arguments and checks, so results equal scipy.linalg's
+bit for bit. If the file is missing or does not load, scipy.linalg's own
+functions are used.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from ._io import dump_json, write_csv
 from .fockmodel import (
@@ -84,6 +96,92 @@ class SolverError(RuntimeError):
 
 class GridRefinementError(RuntimeError):
     """Branch continuation could not reach the overlap floor."""
+
+
+def _flapack_at(scipy_dir: str) -> ModuleType | None:
+    """SciPy's compiled LAPACK bindings `scipy.linalg._flapack`, loaded from
+    their file under scipy_dir without running the `scipy` or `scipy.linalg`
+    package init, or None when the file is missing or does not load. The
+    extension registers itself under its own name, so a later `import
+    scipy.linalg` shares it."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    return module
+
+
+def _check_info(info: int, driver: str) -> None:
+    """Raise on a LAPACK info code as scipy.linalg does."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
+
+
+def _tridiagonal_solvers(scipy_dir: str | None):
+    """`eigh_tridiagonal(d, e)` and `eigvalsh_tridiagonal(d, e, select, select_range)`
+    (select "a" or "i") on the extension under scipy_dir, with scipy.linalg's
+    drivers, arguments and checks: finite input, len(d) = len(e) + 1,
+    info != 0, and the 1 x 1 exit that dstevd itself rejects. Without the
+    extension they are scipy.linalg's functions.
+    """
+    flapack = _flapack_at(scipy_dir) if scipy_dir else None
+    if flapack is None:
+        from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
+        return eigh_tridiagonal, eigvalsh_tridiagonal
+
+    def chain(d, e) -> tuple[np.ndarray, np.ndarray]:
+        d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+        if d.size != e.size + 1:
+            raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+        return d, e
+
+    def eigh_tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
+        d, e = chain(d, e)
+        if len(d) == 1:
+            return np.array([d[0]], dtype=d.dtype), np.array([[1.0]], dtype=d.dtype)
+        w, v, info = flapack.dstevd(d, e, compute_v=1)
+        _check_info(info, "stevd (eigh_tridiagonal)")
+        return w, v
+
+    def eigvalsh_tridiagonal(d, e, select="a", select_range=None) -> np.ndarray:
+        d, e = chain(d, e)
+        if select == "i":
+            lo, hi = select_range
+            if not 0 <= lo <= hi < len(d):
+                raise ValueError("select_range out of bounds")
+        elif select != "a":
+            raise ValueError(f"select {select!r} is not 'a' or 'i'")
+        if len(d) == 1:
+            return np.array([d[0]], dtype=d.dtype)
+        if select == "a":
+            w, _, info = flapack.dstevd(d, e, compute_v=0)
+            _check_info(info, "stevd (eigh_tridiagonal)")
+            return w
+        m, w, _, _, info = flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+        _check_info(info, "stebz (eigh_tridiagonal)")
+        return w[:m]
+
+    return eigh_tridiagonal, eigvalsh_tridiagonal
+
+
+def _scipy_dir() -> str | None:
+    """The directory of the installed scipy package, found without importing it."""
+    spec = importlib.util.find_spec("scipy")
+    return spec.submodule_search_locations[0] if spec else None
+
+
+eigh_tridiagonal, eigvalsh_tridiagonal = _tridiagonal_solvers(_scipy_dir())
 
 
 @dataclass
@@ -561,9 +659,8 @@ def hellmann_feynman_check(
         return w[np.argmax(np.abs(vectors.T @ v), axis=1)]
 
     rows = []
-    v_mat = v_op.entries
-    for lab, vec, fd in zip(branch.labels, vectors.T, stencil_slope(energies, h)):
-        rayleigh = float(vec @ (v_mat @ vec))
+    rayleighs = np.einsum("ij,ij->j", vectors, v_op.entries @ vectors).tolist()
+    for lab, rayleigh, fd in zip(branch.labels, rayleighs, stencil_slope(energies, h)):
         disc = abs(fd - rayleigh)
         rows.append(
             {
