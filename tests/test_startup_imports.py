@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from spinboson import ModelParams, spectral
@@ -31,20 +32,16 @@ def test_cli_import_skips_scipy_package_init():
     assert heavy == ["scipy.linalg._flapack"]
 
 
-def test_missing_extension_falls_back_to_scipy(tmp_path):
+@pytest.mark.parametrize("extension", [None, b"not a shared object"])
+def test_missing_or_broken_extension_falls_back_to_scipy(tmp_path, extension):
+    if extension is not None:
+        (tmp_path / "linalg").mkdir()
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(extension)
     assert spectral._tridiagonal_solvers(str(tmp_path)) == (
         scipy.linalg.eigh_tridiagonal,
         scipy.linalg.eigvalsh_tridiagonal,
     )
-
-
-def test_extension_that_fails_to_load_falls_back_to_scipy(tmp_path):
-    (tmp_path / "linalg").mkdir()
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not a shared object")
-    eigh, eigvalsh = spectral._tridiagonal_solvers(str(tmp_path))
-    assert eigh is scipy.linalg.eigh_tridiagonal
-    assert eigvalsh is scipy.linalg.eigvalsh_tridiagonal
 
 
 def test_package_runs_on_the_fallback(tmp_path, monkeypatch):
