@@ -32,8 +32,9 @@ without vectors, and dstebz (bisection) for one eigenvalue by index. They are
 loaded from SciPy's extension scipy/linalg/_flapack by its file, which skips
 the package init of scipy and scipy.linalg (over half of the CLI's start-up),
 and called with SciPy's arguments and checks, so results equal scipy.linalg's
-bit for bit. If the file is missing or does not load, scipy.linalg's own
-functions are used.
+bit for bit on the SciPy releases pyproject.toml allows. If the file is
+missing, does not load or lacks a driver, importing this module raises
+ImportError naming the file.
 """
 
 from __future__ import annotations
@@ -98,25 +99,32 @@ class GridRefinementError(RuntimeError):
     """Branch continuation could not reach the overlap floor."""
 
 
-def _flapack_at(scipy_dir: str) -> ModuleType | None:
+def _load_flapack() -> ModuleType:
     """SciPy's compiled LAPACK bindings `scipy.linalg._flapack`, loaded from
-    their file under scipy_dir without running the `scipy` or `scipy.linalg`
-    package init, or None when the file is missing or does not load. The
-    extension registers itself under its own name, so a later `import
-    scipy.linalg` shares it."""
+    their file in the installed scipy package without running the `scipy` or
+    `scipy.linalg` package init. The extension registers itself under its own
+    name, so a later `import scipy.linalg` shares it. Raises ImportError,
+    naming the file, when it is missing, does not load or lacks a driver."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("spinboson needs scipy, whose LAPACK extension it loads")
+    linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+        path = os.path.join(linalg, "_flapack" + suffix)
         if os.path.isfile(path):
             break
     else:
-        return None
+        raise ImportError(f"SciPy's LAPACK extension _flapack is not in {linalg}")
     spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError:
-        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for driver in ("dstevd", "dstebz"):
+        if not hasattr(module, driver):
+            raise ImportError(f"{path} has no LAPACK driver {driver}")
     return module
+
+
+_flapack = _load_flapack()
 
 
 def _check_info(info: int, driver: str) -> None:
@@ -127,61 +135,42 @@ def _check_info(info: int, driver: str) -> None:
         raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
 
 
-def _tridiagonal_solvers(scipy_dir: str | None):
-    """`eigh_tridiagonal(d, e)` and `eigvalsh_tridiagonal(d, e, select, select_range)`
-    (select "a" or "i") on the extension under scipy_dir, with scipy.linalg's
-    drivers, arguments and checks: finite input, len(d) = len(e) + 1,
-    info != 0, and the 1 x 1 exit that dstevd itself rejects. Without the
-    extension they are scipy.linalg's functions.
-    """
-    flapack = _flapack_at(scipy_dir) if scipy_dir else None
-    if flapack is None:
-        from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+def _chain(d, e) -> tuple[np.ndarray, np.ndarray]:
+    """d and e as arrays, refused as scipy.linalg refuses them: non-finite
+    entries, or len(d) != len(e) + 1."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if d.size != e.size + 1:
+        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+    return d, e
 
-        return eigh_tridiagonal, eigvalsh_tridiagonal
 
-    def chain(d, e) -> tuple[np.ndarray, np.ndarray]:
-        d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-        if d.size != e.size + 1:
-            raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
-        return d, e
+def eigh_tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and Fortran-ordered eigenvectors of the chain (d, e), as
+    `scipy.linalg.eigh_tridiagonal(d, e)` returns them: dstevd with vectors,
+    and the 1 x 1 exit that dstevd itself rejects."""
+    d, e = _chain(d, e)
+    if len(d) == 1:
+        return np.array([d[0]], dtype=d.dtype), np.array([[1.0]], dtype=d.dtype)
+    w, v, info = _flapack.dstevd(d, e, compute_v=1)
+    _check_info(info, "stevd (eigh_tridiagonal)")
+    return w, v
 
-    def eigh_tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray]:
-        d, e = chain(d, e)
-        if len(d) == 1:
-            return np.array([d[0]], dtype=d.dtype), np.array([[1.0]], dtype=d.dtype)
-        w, v, info = flapack.dstevd(d, e, compute_v=1)
+
+def eigvalsh_tridiagonal(d, e, top: bool = False) -> np.ndarray:
+    """Eigenvalues of the chain (d, e), as `scipy.linalg.eigvalsh_tridiagonal`
+    returns them: all by dstevd, or with top only the largest, by dstebz at
+    index len(d) (SciPy's select="i" at (len(d) - 1, len(d) - 1))."""
+    d, e = _chain(d, e)
+    if len(d) == 1:
+        return np.array([d[0]], dtype=d.dtype)
+    if not top:
+        w, _, info = _flapack.dstevd(d, e, compute_v=0)
         _check_info(info, "stevd (eigh_tridiagonal)")
-        return w, v
-
-    def eigvalsh_tridiagonal(d, e, select="a", select_range=None) -> np.ndarray:
-        d, e = chain(d, e)
-        if select == "i":
-            lo, hi = select_range
-            if not 0 <= lo <= hi < len(d):
-                raise ValueError("select_range out of bounds")
-        elif select != "a":
-            raise ValueError(f"select {select!r} is not 'a' or 'i'")
-        if len(d) == 1:
-            return np.array([d[0]], dtype=d.dtype)
-        if select == "a":
-            w, _, info = flapack.dstevd(d, e, compute_v=0)
-            _check_info(info, "stevd (eigh_tridiagonal)")
-            return w
-        m, w, _, _, info = flapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
-        _check_info(info, "stebz (eigh_tridiagonal)")
-        return w[:m]
-
-    return eigh_tridiagonal, eigvalsh_tridiagonal
-
-
-def _scipy_dir() -> str | None:
-    """The directory of the installed scipy package, found without importing it."""
-    spec = importlib.util.find_spec("scipy")
-    return spec.submodule_search_locations[0] if spec else None
-
-
-eigh_tridiagonal, eigvalsh_tridiagonal = _tridiagonal_solvers(_scipy_dir())
+        return w
+    n = len(d)
+    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, n, n, 0.0, "E")
+    _check_info(info, "stebz (eigh_tridiagonal)")
+    return w[:m]
 
 
 @dataclass
@@ -301,8 +290,7 @@ def default_window(n_fock: int) -> int:
 def control_norm(n_fock: int) -> float:
     """||X (x) 1|| = ||X_N||: the largest root of the Hermite polynomial H_N, which is
     the top eigenvalue of the photon ladder (Golub-Welsch)."""
-    top = (n_fock - 1, n_fock - 1)
-    return float(eigvalsh_tridiagonal(np.zeros(n_fock), photon_ladder(n_fock), "i", top)[0])
+    return float(eigvalsh_tridiagonal(np.zeros(n_fock), photon_ladder(n_fock), top=True)[0])
 
 
 def trusted_levels(params: ModelParams) -> int:

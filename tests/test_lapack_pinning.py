@@ -25,9 +25,9 @@ def assert_pinned(d: np.ndarray, e: np.ndarray) -> None:
     assert np.array_equal(
         spectral.eigvalsh_tridiagonal(d, e), scipy.linalg.eigvalsh_tridiagonal(d, e)
     )
-    top = (len(d) - 1, len(d) - 1)  # as `control_norm` asks for the largest root
+    top = (len(d) - 1, len(d) - 1)  # `control_norm`'s largest root
     assert np.array_equal(
-        spectral.eigvalsh_tridiagonal(d, e, "i", top),
+        spectral.eigvalsh_tridiagonal(d, e, top=True),
         scipy.linalg.eigvalsh_tridiagonal(d, e, "i", top),
     )
 
@@ -77,23 +77,24 @@ def test_rabi_chains(n_fock, Omega, g):
         assert_pinned(diag[rows], couplings)
 
 
+# (name, scipy.linalg's arguments, the package's) after the chain
 SOLVES = [
-    ("eigh_tridiagonal", ()),
-    ("eigvalsh_tridiagonal", ()),
-    ("eigvalsh_tridiagonal", ("i", (3, 3))),
+    ("eigh_tridiagonal", (), {}),
+    ("eigvalsh_tridiagonal", (), {}),
+    ("eigvalsh_tridiagonal", ("i", (3, 3)), {"top": True}),
 ]
 
 
-@pytest.mark.parametrize("name, args", SOLVES)
+@pytest.mark.parametrize("name, args, kwargs", SOLVES)
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [0, 1])
-def test_non_finite_input_is_refused_as_scipy_refuses_it(name, args, bad, where):
+def test_non_finite_input_is_refused_as_scipy_refuses_it(name, args, kwargs, bad, where):
     chain = [np.arange(4.0), np.ones(3)]
     chain[where][1] = bad
     with pytest.raises(ValueError) as expected:
         getattr(scipy.linalg, name)(*chain, *args)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-        getattr(spectral, name)(*chain, *args)
+        getattr(spectral, name)(*chain, **kwargs)
 
 
 def test_mismatched_lengths_are_refused():

@@ -1,19 +1,19 @@
 """`import spinboson.cli` reaches LAPACK without scipy.linalg's package init,
-and falls back to scipy.linalg when SciPy's LAPACK extension is not there."""
+and refuses to import when SciPy's LAPACK extension is not there."""
 
 import ast
 import importlib.machinery
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy.linalg
 
-from spinboson import ModelParams, spectral
+from spinboson import spectral
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinboson"
 # scipy covers scipy.linalg and scipy._lib, whose init imports the numpy ones
@@ -33,30 +33,16 @@ def test_cli_import_skips_scipy_package_init():
 
 
 @pytest.mark.parametrize("extension", [None, b"not a shared object"])
-def test_missing_or_broken_extension_falls_back_to_scipy(tmp_path, extension):
+def test_missing_or_broken_extension_is_an_import_error(tmp_path, monkeypatch, extension):
+    path = tmp_path / "linalg" / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
     if extension is not None:
-        (tmp_path / "linalg").mkdir()
-        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(extension)
-    assert spectral._tridiagonal_solvers(str(tmp_path)) == (
-        scipy.linalg.eigh_tridiagonal,
-        scipy.linalg.eigvalsh_tridiagonal,
-    )
-
-
-def test_package_runs_on_the_fallback(tmp_path, monkeypatch):
-    p = ModelParams(1.0, 1.05, 0.3, 64)
-    fast = spectral.labelled_spectrum(p), spectral.control_norm(p.n_fock)
-    for name, fn in zip(
-        ("eigh_tridiagonal", "eigvalsh_tridiagonal"),
-        spectral._tridiagonal_solvers(str(tmp_path)),
-    ):
-        monkeypatch.setattr(spectral, name, fn)
-    slow = spectral.labelled_spectrum(p), spectral.control_norm(p.n_fock)
-    assert np.array_equal(fast[0].eigenvalues, slow[0].eigenvalues)
-    assert np.array_equal(fast[0].eigenvectors, slow[0].eigenvectors)
-    assert fast[0].labels == slow[0].labels
-    assert fast[1] == slow[1]
+        path.parent.mkdir()
+        path.write_bytes(extension)
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(path.parent))):
+        spectral._load_flapack()
 
 
 def driver_names(path: Path) -> list[str]:
