@@ -348,8 +348,9 @@ def cmd_transfer(cfg: dict) -> int:
                 f"key {key!r} names {cfg[key]}, outside n_fock = {model.n_fock}"
             )
     default = spectral.default_window(model.n_fock)
-    trust = spectral.trusted_levels(model)
-    window = _window(cfg, "transfer.window", default, trust, model.g)
+    # one trust scan: the window is checked against the spectrum the transfer uses
+    spectrum = control.labelled_spectrum(model)
+    window = _window(cfg, "transfer.window", default, spectrum.trust_cutoff, model.g)
     threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
         model,
@@ -359,6 +360,7 @@ def cmd_transfer(cfg: dict) -> int:
         window=window,
         max_periods=cfg["transfer.max_periods"],
         threshold=threshold,
+        spectrum=spectrum,
     )
     atomic_write(_out(cfg, "transfer.json"), report.to_json())
     report.populations_to_csv(_out(cfg, "populations.csv"))

@@ -12,7 +12,9 @@ its one-period (Floquet) operator P in the driven eigenbasis, B periods per
 matrix-vector product with P^B (baby-step/giant-step). B is a power of two
 <= 2N, so the B precomputed rows never outgrow P, and it doubles only while
 the flops of one more squaring are fewer than those of the products it saves
-over max_periods; only the kept segments are then stepped.
+over max_periods. The same squarings build the rows of the path levels'
+amplitudes, so the populations, the edge fidelity and the next edge's start
+state come from the search's own iterates, and a transfer steps nothing.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ class SegmentPropagator:
     `step` never forms a complex copy of the real eigenbasis: the state's
     real and imaginary parts go through each basis change as the two columns
     of one real matrix product, and each amplitude keeps the phase vector of its
-    last duration, which a square wave repeats. `driven_fidelities` ranks
-    square-wave segment counts between 0 and delta on the one-period operator
-    instead of stepping.
+    last duration, which a square wave repeats. A square wave between 0 and
+    delta is not stepped: `_search` sets up its one-period operator,
+    `_fidelity_blocks` ranks its segment counts and `_replay` rebuilds the
+    kept count's populations and state from the same iterates.
     """
 
     def __init__(self, h0: LabeledOperator, b: LabeledOperator, delta: float):
@@ -163,21 +166,22 @@ class SegmentPropagator:
         """V_0^T V_delta: the free eigenbasis against the driven one."""
         return self._decomposition(0.0)[1].T @ self._decomposition(self.delta)[1]
 
-    def driven_fidelities(
-        self, psi: np.ndarray, far: np.ndarray, half: float, horizon: int | None = None
-    ):
-        """|<far| psi(m)>|^2 for m = 0, 1, 2, ..., without end, where psi(m) is
-        psi after 2m + 1 half-periods `half` of the square wave that starts on
-        u = delta and alternates with u = 0; `far` is real.
+    def _search(self, psi, far, half, horizon, tracked=None):
+        """The start of the blocked search over the square wave of half-period
+        `half` that starts on u = delta: (c, rows, P^B, population rows).
 
         No lab-basis state is built. In the driven eigenbasis one period is
         P = M^T Phi_0 M Phi_delta, with M = V_0^T V_delta and
-        Phi_u = exp(-i w_u half), so the amplitude is r^T P^m c with
-        c = V_delta^T psi and r = Phi_delta * (V_delta^T far). The periods go
-        in blocks of B = `_block_size(horizon, 2N)`: the rows r^T P^b, b < B,
-        and P^B come from log2(B) squarings, then each giant step is one
-        product P^B c and the B fidelities of a block one (B, 2N) @ (2N)
-        product. Memory does not grow with m; without a horizon, B = 1.
+        Phi_u = exp(-i w_u half). With c = V_delta^T psi, the state after
+        2m + 1 half-periods is V_delta Phi_delta P^m c, so its amplitude on
+        the real `far` is r^T P^m c, r = Phi_delta * (V_delta^T far). The
+        periods go in blocks of B = `_block_size(horizon, 2N)`: the rows
+        r^T P^b, b < B, and P^B come from log2(B) squarings. For real lab
+        columns `tracked`, the same squarings double the rows R Phi_delta P^b,
+        R = tracked^T V_delta, in their own products, so the far rows and P^B
+        do not depend on them; they come as a (B, len(tracked), 2N) array
+        whose row b gives the tracked amplitudes after half-period 2b + 1 of
+        a block. Without `tracked` they are None.
         """
         w_d, v_d = self._decomposition(self.delta)
         w_0, _ = self._decomposition(0.0)
@@ -191,13 +195,61 @@ class SegmentPropagator:
         power *= phase_d
         c = _real_matvec(v_d.T, psi)
         rows = (phase_d * (v_d.T @ far))[None, :]
+        pops = None
+        if tracked is not None:
+            pops = ((tracked.T @ v_d) * phase_d)[None]
         block = _block_size(horizon, len(c))
         while len(rows) < block:
+            if pops is not None:
+                pops = np.concatenate([pops, pops @ power])
             rows = np.vstack([rows, rows @ power])  # r^T P^b for b < 2 len(rows)
             power = power @ power
-        while True:
-            yield from (np.abs(rows @ c) ** 2).tolist()
+        return c, rows, power, pops
+
+    def driven_fidelities(
+        self, psi: np.ndarray, far: np.ndarray, half: float, horizon: int | None = None
+    ):
+        """|<far| psi(m)>|^2 for m = 0, 1, 2, ..., without end, where psi(m) is
+        psi after 2m + 1 half-periods `half` of the square wave that starts on
+        u = delta and alternates with u = 0; `far` is real. These are the
+        blocks of `_fidelity_blocks` on `_search`'s rows, one float at a time,
+        so memory does not grow with m; without a horizon, B = 1.
+        """
+        c, rows, power, _ = self._search(psi, far, half, horizon)
+        for fidelities in _fidelity_blocks(c, rows, power):
+            yield from fidelities.tolist()
+
+    def _replay(self, c, power, pops, half, periods):
+        """The search from `c` once more, up to its period `periods`: the
+        tracked amplitudes after each of its driven half-periods, as rows,
+        and the lab state after the last, V_delta Phi_delta P^(periods-1) c.
+        Whole blocks go by P^B as in the search, so its iterates repeat bit
+        for bit; the rest of the last block goes one period at a time through
+        M, P c = M^T (Phi_0 * (M (Phi_delta * c))), so no complex (2N)^2
+        matrix is held beside P^B.
+        """
+        w_d, v_d = self._decomposition(self.delta)
+        w_0, _ = self._decomposition(0.0)
+        m = self._overlap
+        phase_d, phase_0 = np.exp(-1j * w_d * half), np.exp(-1j * w_0 * half)
+        flat = pops.reshape(-1, len(c))
+        whole, rest = divmod(periods - 1, len(pops))
+        amplitudes = [flat @ c]
+        for _ in range(whole):
             c = power @ c
+            amplitudes.append(flat @ c)
+        for _ in range(rest):
+            c = _real_matvec(m.T, phase_0 * _real_matvec(m, phase_d * c))
+        rows = np.concatenate(amplitudes).reshape(-1, pops.shape[1])
+        return rows[:periods], _real_matvec(v_d, phase_d * c)
+
+
+def _fidelity_blocks(c, rows, power):
+    """|r^T P^m c|^2 for m = 0, 1, 2, ..., without end, one array of the
+    B = len(rows) periods of each giant step c <- P^B c."""
+    while True:
+        yield np.abs(rows @ c) ** 2
+        c = power @ c
 
 
 def _block_size(horizon: int | None, dim: int) -> int:
@@ -277,9 +329,13 @@ def design_transfer(
     the edge's far eigenstate within DEFAULT_MAX_PERIODS periods. Counts are
     0 or odd: a trailing zero-amplitude half-period would leave the fidelity
     unchanged, so only roundoff could prefer it. The counts are ranked on the
-    one-period operator (`SegmentPropagator.driven_fidelities`); the first
-    strict maximum wins, and only its segments are stepped, so the reported
-    fidelities are those of the stepped states.
+    one-period operator (the curve of `SegmentPropagator.driven_fidelities`,
+    a block of periods at a time); the first strict maximum wins. Nothing is
+    stepped: the reported fidelities, the populations and each edge's final
+    state come from the search's iterates. They differ from stepping the
+    pulse by the rounding of the one-period operator, which adds up over the
+    kept periods: within 1e-12 up to 1000 segments (1.2e-13 on the
+    benchmark's transfers), about 1e-11 at 95,511.
 
     Returns the concatenated pulse, the predicted final fidelity and a
     per-edge report.
@@ -293,9 +349,10 @@ def design_transfer(
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     """The `TransferReport` of `design_transfer`'s pulse for these `max_periods`
-    and `threshold`. Per edge, `driven_fidelities` ranks the counts; then
-    `step` runs the kept segments alone, and its states give the populations
-    of the path levels, the edge fidelity and the next edge's start."""
+    and `threshold`. Per edge, `_fidelity_blocks` ranks the counts a block of
+    periods at a time; then `_replay` repeats the search's iterates up to the
+    kept count, and they give the populations of the path levels and the next
+    edge's start. The edge fidelity is the search's own maximum."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
@@ -319,27 +376,34 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
             raise TransferError("design", f"vanishing drive gap on edge ({a},{c})")
         half = math.pi / gap
         far = spectrum.eigenvectors[:, c]
-        best_fid, best_count = float(abs(np.vdot(far, psi)) ** 2), 0
+        best_fid, periods = float(abs(np.vdot(far, psi)) ** 2), 0
         # free evolution cannot change the fidelity to an H0 eigenstate, so
-        # only counts ending on a driven half-period are ranked
-        search = prop.driven_fidelities(psi, far, half, max_periods)
-        for m, fid in enumerate(itertools.islice(search, max_periods)):
-            if fid > best_fid:
-                best_fid, best_count = fid, 2 * m + 1
-        for seg in range(best_count):
-            amplitude = delta if seg % 2 == 0 else 0.0
-            psi = prop.step(psi, half, amplitude)
-            segments.append((half, amplitude))
-            t += half
-            amps = level_vecs.T @ psi
-            populations.append({"t": t, "p": [float(abs(x) ** 2) for x in amps]})
-        if best_count:
-            best_fid = float(abs(np.vdot(far, psi)) ** 2)
+        # only counts ending on a driven half-period are ranked. The first
+        # strict maximum wins: argmax takes a block's first maximum, and >
+        # keeps an equal one from an earlier block
+        coeffs, rows, power, pops = prop._search(psi, far, half, max_periods, level_vecs)
+        blocks = _fidelity_blocks(coeffs, rows, power)
+        for first in range(0, max_periods, len(rows)):
+            fids = next(blocks)[: max_periods - first]
+            best = int(fids.argmax())
+            if fids[best] > best_fid:
+                best_fid, periods = float(fids[best]), first + best + 1
+        count = 2 * periods - 1 if periods else 0
+        if count:
+            amplitudes, psi = prop._replay(coeffs, power, pops, half, periods)
+            # a running sum adds the half-periods in order, as t += half would
+            times = np.cumsum([t, *itertools.repeat(half, count)])[1:].tolist()
+            # a free half-period leaves the populations of H0 eigenstates as
+            # the driven one before it left them
+            probs = np.repeat(np.abs(amplitudes) ** 2, 2, axis=0)[:count].tolist()
+            populations.extend({"t": x, "p": p} for x, p in zip(times, probs))
+            segments.extend((half, delta if s % 2 == 0 else 0.0) for s in range(count))
+            t = times[-1]
         edge_reports.append(
             {
                 "edge": [a, c],
                 "half_period": half,
-                "n_segments": best_count,
+                "n_segments": count,
                 "fidelity": best_fid,
             }
         )
@@ -409,15 +473,18 @@ def transfer_experiment(
     window: int | None = None,
     max_periods: int = DEFAULT_MAX_PERIODS,
     threshold: float = DEFAULT_THRESHOLD,
+    spectrum: Spectrum | None = None,
 ) -> TransferReport:
     """Full pipeline: diagonalize, graph, certify, design; the design sweep
-    steps the kept segments once and returns the report, so nothing is replayed.
-    The default window is `default_window` cut to the trusted levels, as in the CLI."""
+    returns the report, populations included, so nothing is propagated again.
+    The default window is `default_window` cut to the trusted levels, as in the CLI.
+    `spectrum` is `labelled_spectrum(params)` where the caller already holds it."""
     if source.s != target.s and params.g == 0:
         raise TransferError(
             "diagonalize", "cross-spin targets are unreachable at g = 0"
         )
-    spectrum = labelled_spectrum(params)
+    if spectrum is None:
+        spectrum = labelled_spectrum(params)
     if window is None:
         window = min(default_window(params.n_fock), spectrum.trust_cutoff)
     try:

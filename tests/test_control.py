@@ -22,6 +22,7 @@ from spinboson import (
 from spinboson.control import SegmentPropagator, labelled_spectrum
 
 P = ModelParams(1.0, 1.05, 0.2, 16)
+ITERATE_TOL = 1e-12  # a transfer's search iterates against stepping its pulse
 
 
 def eigenstate(spec, k):
@@ -234,9 +235,9 @@ ONE_PASS = [
     ids=["ladder", "cross-spin", "two-edge", "identity"],
 )
 def test_transfer_propagates_once(monkeypatch, params, source, target, window, edges):
-    # the kept pulse is stepped once and the segment-count search steps
-    # nothing, and the populations and fidelity equal those of replaying
-    # the designed pulse with `propagate`
+    # the design steps nothing: its populations and fidelity come from the
+    # search's iterates, equal to replaying the designed pulse with
+    # `propagate` to ITERATE_TOL, with the same times bit for bit
     max_periods, delta = 300, 0.02
     steps = []
     step = SegmentPropagator.step
@@ -251,7 +252,7 @@ def test_transfer_propagates_once(monkeypatch, params, source, target, window, e
     )
     monkeypatch.undo()
     assert len(report.edges) == edges
-    assert len(steps) == sum(e["n_segments"] for e in report.edges)
+    assert steps == []
 
     spec = labelled_spectrum(params)
     pulse = Pulse(
@@ -272,6 +273,9 @@ def test_transfer_propagates_once(monkeypatch, params, source, target, window, e
 
     psi0 = eigenstate(spec, spec.level_of(source))
     final = propagate(build_rabi(params), build_control(params), pulse, psi0, record)
-    assert populations == report.populations
+    assert [row["t"] for row in populations] == [row["t"] for row in report.populations]
+    replayed = np.array([row["p"] for row in populations]).reshape(-1, len(report.tracked_levels))
+    designed = np.array([row["p"] for row in report.populations]).reshape(replayed.shape)
+    assert np.all(np.abs(replayed - designed) <= ITERATE_TOL)
     target_vec = spec.eigenvectors[:, spec.level_of(target)].astype(complex)
-    assert final.fidelity(target_vec) == report.fidelity
+    assert abs(final.fidelity(target_vec) - report.fidelity) <= ITERATE_TOL

@@ -1,10 +1,10 @@
 """The segment-count search of a transfer against stepping every count.
 
-`_sweep` ranks each edge's counts with `SegmentPropagator.driven_fidelities`,
-on the one-period operator in the driven eigenbasis, and then steps only the
-kept segments. The property below steps every count with
-`SegmentPropagator.step` instead and requires the same fidelity curve, a
-reported fidelity that is the best of it, and counts that are 0 or odd.
+`_sweep` ranks each edge's counts on the one-period operator in the driven
+eigenbasis, and takes the kept count's fidelity and state from the search's
+iterates. The property below steps every count with `SegmentPropagator.step`
+instead and requires the same fidelity curve, a reported fidelity that is the
+best of it and that of the stepped state, and counts that are 0 or odd.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from spinboson import (  # noqa: E402
 from spinboson.control import SegmentPropagator, labelled_spectrum  # noqa: E402
 
 SEARCH_TOL = 1e-10
+ITERATE_TOL = 1e-12
 SOURCE = BasisIndex(0, -1)
 TARGETS = {"ladder": BasisIndex(1, -1), "cross-spin": BasisIndex(0, 1)}
 
@@ -82,8 +83,9 @@ def test_search_ranks_the_stepped_curve(n_fock, g, Omega, delta, target, max_per
         assert abs(edge["fidelity"] - max(fidelity(far, psi), *stepped)) <= SEARCH_TOL
         if count:
             psi = states[count - 1]
-        # the reported fidelity is that of the stepped state, not a prediction
-        assert edge["fidelity"] == fidelity(far, psi)
+        # the reported fidelity, from the search's iterates, is that of the
+        # stepped state to roundoff
+        assert abs(edge["fidelity"] - fidelity(far, psi)) <= ITERATE_TOL
 
 
 class _Stepped(Exception):
@@ -91,14 +93,14 @@ class _Stepped(Exception):
 
 
 def _search_peak(monkeypatch, max_periods):
-    """Peak traced bytes of a transfer up to its first kept step, which comes
+    """Peak traced bytes of a transfer up to its population pass, which comes
     after the edge's whole search."""
 
-    def stop(self, psi, duration, amplitude):
+    def stop(self, *args):
         raise _Stepped
 
     params = ModelParams(1.0, 1.05, 0.2, 6)
-    monkeypatch.setattr(SegmentPropagator, "step", stop)
+    monkeypatch.setattr(SegmentPropagator, "_replay", stop)
     tracemalloc.start()
     try:
         with pytest.raises(_Stepped):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from spinboson import ModelParams, build_rabi, convergence_scan, diagonalize
+from spinboson import ModelParams, build_rabi, convergence_scan, diagonalize, spectral
 from spinboson.cli import EXIT_INPUT, EXIT_OK, main
 from spinboson.spectral import trusted_levels
 
@@ -89,6 +89,27 @@ def test_window_beyond_trust_refused(tmp_path, monkeypatch, capsys, command, cfg
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "convergence scan trusts" in err
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("window, code", [(None, EXIT_OK), (7, EXIT_OK), (10, EXIT_INPUT)])
+def test_transfer_runs_one_trust_scan(tmp_path, monkeypatch, capsys, window, code):
+    # the window is checked against the spectrum the transfer uses, whose
+    # trust cutoff (7 levels here) comes from the only scan
+    calls = []
+    real_scan = spectral.convergence_scan
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "convergence_scan", counting_scan)
+    monkeypatch.chdir(tmp_path)
+    transfer = TRANSFER if window is None else {**TRANSFER, "window": window}
+    assert run(tmp_path, "transfer", {"model": model(8, 0.2), "transfer": transfer}) == code
+    assert len(calls) == 1
+    if code == EXIT_INPUT:
+        assert "'transfer.window'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_default_window_cut_to_trust(tmp_path, monkeypatch):

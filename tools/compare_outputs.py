@@ -67,7 +67,9 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # no path), and the n_fock 8 ladder at 10**5 periods (B = 16). Then branches
 # over a range symmetric about 0 whose steps bisect near Omega = 5 omega, both
 # signs of g sharing each mirrored chain solve, and branches over an asymmetric
-# range, whose grid stays linspace's.
+# range, whose grid stays linspace's. Last, a two-edge transfer at n_fock 64
+# (B = 8, as in the benchmark), whose second edge starts from the state the
+# first edge's search iterates end on.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -94,6 +96,7 @@ REFERENCE = [
         {**_model(4.999, 0.0, 32), "grid": {"g_min": -0.5, "g_max": 0.5, "n_points": 11}},
     ),
     workloads.Op("branches", {**_model(1.05, 0.0, 32), "grid": {"g_min": -0.02, "g_max": 0.05}}),
+    _transfer(_model(1.05, 0.2, 64), {"n": 1, "s": 1}),
 ]
 SETS = (*workloads.NAMES, "reference")
 
