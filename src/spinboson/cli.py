@@ -87,8 +87,9 @@ MINIMUM: dict[str, int | float] = {
     "degenerate.j_max": 0,
 }
 # Upper bounds of the keys that have one. A transfer of 10**6 periods took
-# 1.8 s at n_fock 8, 0.7 s of it the search; at ~0.7 us a period, 10**12 would
-# run for over a week. The quadruple check's n**2 slope differences took 0.24 s
+# 1.7-2.2 s at n_fock 8, 0.6-0.7 s of it the search (the rest is start-up and
+# writing its 95,511 population rows); at ~0.6 us a period, 10**12 would run
+# for about a week. The quadruple check's n**2 slope differences took 0.24 s
 # and 148 MB peak RSS at window 1000, 1.1 s and 415 MB at 2000, growing about
 # as window**2 (one OpenBLAS thread on a 2-vCPU x86-64 VM).
 MAXIMUM: dict[str, int] = {"transfer.max_periods": 10**6, "degenerate.window": 1000}

@@ -2,7 +2,9 @@
 
 Each constant-control segment is propagated exactly through the checked
 eigendecomposition of H0 + u*B (`dense_eigh`, cached per distinct amplitude),
-so there is no time-integration error. The eigenbasis is real, so a step
+so there is no time-integration error. A transfer takes H0's (u = 0) from its
+labelled spectrum, whose eigenpairs come from the two certified chain solves,
+and solves only u = delta/2 and u = delta. The eigenbasis is real, so a step
 runs in real arithmetic on the (re, im) pair of the state: two real matrix
 products with the complex phase applied between them. Transfers are driven
 bang-bang between u = 0 and u = delta at the gap frequency of the mean
@@ -11,8 +13,8 @@ drive. The drive is periodic, so each edge's segment count is searched on
 its one-period (Floquet) operator P in the driven eigenbasis, B periods per
 matrix-vector product with P^B (baby-step/giant-step). B is a power of two
 <= 2N, so the B precomputed rows never outgrow P, and it doubles only while
-the flops of one more squaring are fewer than those of the products it saves
-over max_periods. The same squarings build the rows of the path levels'
+one more squaring, priced at GEMM speed, costs less than the products it
+saves over max_periods. The same squarings build the rows of the path levels'
 amplitudes, so the populations, the edge fidelity and the next edge's start
 state come from the search's own iterates, and a transfer steps nothing.
 """
@@ -53,6 +55,10 @@ __all__ = [
 NORM_TOL = 1e-9
 DEFAULT_MAX_PERIODS = 2000
 DEFAULT_THRESHOLD = 0.95
+# A complex (2N)^2 GEMM's speed per flop over a GEMV's, for `_block_size`.
+# Measured 2.4-9 over 2N = 8..2048 (OpenBLAS 0.3.31 on one thread, x86-64):
+# about 5 up to 2N = 32, 2.4-2.6 at 128-256, 7-9 at 1024-2048.
+GEMM_SPEEDUP = 4
 
 
 class TransferError(RuntimeError):
@@ -135,13 +141,24 @@ class SegmentPropagator:
     kept count's populations and state from the same iterates.
     """
 
-    def __init__(self, h0: LabeledOperator, b: LabeledOperator, delta: float):
+    def __init__(
+        self,
+        h0: LabeledOperator,
+        b: LabeledOperator,
+        delta: float,
+        free: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        """`free`, if given, is H0's checked eigendecomposition (eigenvalues
+        ascending, eigenvectors as columns), used for u = 0 in place of a
+        dense solve."""
         if h0.dim != b.dim:
             raise ValueError(f"dimension mismatch: H0 is {h0.dim}, B is {b.dim}")
         self.h0 = h0.entries
         self.b = b.entries
         self.delta = delta
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        if free is not None:
+            self._cache[0.0] = free
         self._phases: dict[float, tuple[float, np.ndarray]] = {}  # last (duration, phase)
 
     def _decomposition(self, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +271,20 @@ def _fidelity_blocks(c, rows, power):
 
 def _block_size(horizon: int | None, dim: int) -> int:
     """Periods per giant step of `driven_fidelities`, a power of two B chosen by
-    flop count: doubling B costs one more squaring of P (dim^3 complex
-    multiply-adds) and B more rows (B dim^2), and saves horizon / (2B) giant
-    steps of dim^2 each. So B doubles while horizon > 2B (dim + B), and while
-    2B <= dim, so the B rows never outgrow P; 1 without a horizon. A squaring
-    runs faster per flop than a matrix-vector product, so the count errs
-    towards small B."""
+    cost in matrix-vector flops: doubling B costs one more squaring of P (dim^3
+    complex multiply-adds at GEMM speed, GEMM_SPEEDUP = rho times faster per
+    flop) and B more rows (B dim^2), and saves horizon / (2B) giant steps of
+    dim^2 each. So B doubles while horizon > 2B (dim / rho + B), and while
+    2B <= dim, so the B rows never outgrow P; 1 without a horizon. rho is a
+    constant, so B depends on the inputs alone. A giant step's ~5 us of
+    interpreter work is left out: it outweighs the dim^2 product only up to
+    dim ~ 64, where B is at or near its cap within the default 2000 periods."""
     block = 1
-    while horizon is not None and 2 * block <= dim and horizon > 2 * block * (dim + block):
+    while (
+        horizon is not None
+        and 2 * block <= dim
+        and GEMM_SPEEDUP * horizon > 2 * block * (dim + GEMM_SPEEDUP * block)
+    ):
         block *= 2
     return block
 
@@ -364,7 +387,8 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     levels = sorted(path)
     level_vecs = spectrum.eigenvectors[:, levels]
 
-    prop = SegmentPropagator(h0, b, delta)
+    # H0's eigenpairs are the spectrum's, from its two certified chain solves
+    prop = SegmentPropagator(h0, b, delta, (spectrum.eigenvalues, spectrum.eigenvectors))
     segments: list[tuple[float, float]] = []
     populations, edge_reports, t = [], [], 0.0
     for a, c in zip(path, path[1:]):
@@ -478,13 +502,17 @@ def transfer_experiment(
     """Full pipeline: diagonalize, graph, certify, design; the design sweep
     returns the report, populations included, so nothing is propagated again.
     The default window is `default_window` cut to the trusted levels, as in the CLI.
-    `spectrum` is `labelled_spectrum(params)` where the caller already holds it."""
+    `spectrum` is `labelled_spectrum(params)` where the caller already holds it;
+    one computed at other params is a ValueError, since the transfer takes H0's
+    eigenpairs from it."""
     if source.s != target.s and params.g == 0:
         raise TransferError(
             "diagonalize", "cross-spin targets are unreachable at g = 0"
         )
     if spectrum is None:
         spectrum = labelled_spectrum(params)
+    elif spectrum.params != params:
+        raise ValueError(f"spectrum is computed at {spectrum.params}, not at params {params}")
     if window is None:
         window = min(default_window(params.n_fock), spectrum.trust_cutoff)
     try:

@@ -5,10 +5,11 @@
 stepped one to `SEARCH_TOL`, and the first strict maximum, which `_sweep`
 keeps, must sit where the per-period search (no horizon, B = 1) puts it.
 `max_periods` is drawn at small fixed values, at and just past each
-horizon 2B (2N + B) where B doubles, and above 4 (2N)^2, where B is capped
-by 2N.
+horizon where B doubles (`doubling_horizons`), and above 4 (2N)^2, where B
+is capped by 2N.
 """
 
+import bisect
 import itertools
 import math
 
@@ -25,6 +26,18 @@ from spinboson.control import SegmentPropagator, _block_size  # noqa: E402
 from test_transfer_search import ITERATE_TOL, SEARCH_TOL, fidelity  # noqa: E402
 
 BLOCK_EDGES = [1, 3, 4, 15, 16, 63, 64]
+
+
+def doubling_horizons(dim):
+    """For each B with 2B <= dim, the largest horizon at which `_block_size`
+    stays below 2B; one more period doubles it."""
+    horizons, block = [], 1
+    while 2 * block <= dim:
+        below = range(1, 4 * dim**2)
+        first = bisect.bisect_left(below, 2 * block, key=lambda h: _block_size(h, dim))
+        horizons.append(below[first] - 1)
+        block *= 2
+    return horizons
 
 
 def first_strict_max(start, curve):
@@ -47,11 +60,10 @@ def first_strict_max(start, curve):
 def test_blocked_search_matches_the_stepped_curve(n_fock, Omega, g, delta, data):
     params = ModelParams(1.0, Omega, g, n_fock)
     dim = params.dim
-    doublings = [2 * b * (dim + b) for b in (1, 2, 4, 8, 16) if 2 * b <= dim]
     max_periods = data.draw(
         st.one_of(
             st.sampled_from(BLOCK_EDGES),
-            st.builds(int.__add__, st.sampled_from(doublings), st.integers(0, 1)),
+            st.builds(int.__add__, st.sampled_from(doubling_horizons(dim)), st.integers(0, 1)),
             st.integers(4 * dim**2 + 1, 4 * dim**2 + 64),
         ),
         label="max_periods",
@@ -82,6 +94,7 @@ def test_blocked_search_matches_the_stepped_curve(n_fock, Omega, g, delta, data)
 
 
 def test_block_size_rule():
+    rho = control.GEMM_SPEEDUP
     assert _block_size(None, 64) == 1
     for dim in range(1, 40):
         for horizon in [*range(1, 1200), 10**5, 10**6]:
@@ -89,17 +102,18 @@ def test_block_size_rule():
             if horizon < 4:
                 assert block == 1
             assert block & (block - 1) == 0  # a power of two
-            assert block <= dim and block**2 <= horizon
-            # each doubling saved more giant-step flops than its squaring and
-            # rows cost, and the next one would not, or would outgrow dim
+            assert block <= dim and block**2 < 2 * horizon
+            # each doubling saved more giant-step flops than its squaring, at
+            # rho times the speed per flop, and its rows cost, and the next
+            # one would not, or would outgrow dim
             b = block // 2
-            assert block == 1 or horizon > 2 * b * (dim + b)
-            assert 2 * block > dim or horizon <= 2 * block * (dim + block)
-    assert _block_size(2000, 128) == 8
-    assert _block_size(2000, 256) == 4
+            assert block == 1 or rho * horizon > 2 * b * (dim + rho * b)
+            assert 2 * block > dim or rho * horizon <= 2 * block * (dim + rho * block)
+    # 2000 periods at n_fock 64, 128, 256 and 1024
+    assert [_block_size(2000, dim) for dim in (128, 256, 512, 2048)] == [32, 16, 8, 2]
     assert _block_size(2000, 10) == 8
-    assert _block_size(2000, 2048) == 1  # a squaring would cost 2048 products
     assert _block_size(10**6, 16) == 16
+    assert doubling_horizons(32) == [18, 40, 96, 256, 768]
 
 
 def test_sweep_blocks_by_max_periods(monkeypatch):
@@ -121,10 +135,11 @@ def test_sweep_blocks_by_max_periods(monkeypatch):
     "n_fock, target, max_periods, block",
     [
         (16, BasisIndex(1, -1), 3, 1),
-        (16, BasisIndex(1, -1), 100, 2),
-        (16, BasisIndex(1, -1), 200, 4),
+        (16, BasisIndex(1, -1), 20, 2),
+        (16, BasisIndex(1, -1), 50, 4),
         (16, BasisIndex(0, 1), 2000, 32),
         (8, BasisIndex(1, -1), 2000, 16),
+        (16, BasisIndex(1, -1), 100, 8),
     ],
 )
 def test_blocked_transfer_equals_per_period_transfer(

@@ -3,12 +3,13 @@
 `_sweep` ranks each edge's counts on the one-period operator, then
 `SegmentPropagator._replay` repeats the search's iterates up to the kept count
 for the populations and the edge's final state. The property below steps the
-designed pulse with `SegmentPropagator.step`, keeps that reference here, and
+designed pulse with `SegmentPropagator.step` on the design's own eigenpairs
+(H0's from the labelled spectrum), keeps that reference here, and
 requires the populations, each edge fidelity and each edge's final state to
 agree with it to `iterate_tol`, the times to equal the loop sum bit for bit,
 and the kept counts to equal those of the per-period search (B = 1).
 `max_periods` is drawn as in `test_blocked_search.py`: at small fixed values,
-at and just past each horizon 2B (2N + B) where B doubles, and above
+at and just past each horizon where B doubles, and above
 4 (2N)^2, where B is capped by 2N. The target (1, +1) is reached over two
 edges, so the second edge starts from the first one's iterates.
 """
@@ -30,7 +31,7 @@ from spinboson import (  # noqa: E402
 )
 from spinboson import control  # noqa: E402
 from spinboson.control import SegmentPropagator, labelled_spectrum  # noqa: E402
-from test_blocked_search import BLOCK_EDGES  # noqa: E402
+from test_blocked_search import BLOCK_EDGES, doubling_horizons  # noqa: E402
 from test_transfer_search import ITERATE_TOL, fidelity  # noqa: E402
 
 SOURCE = BasisIndex(0, -1)
@@ -57,7 +58,8 @@ def iterate_tol(segments: int) -> float:
 def stepped_reference(params, spec, report, delta):
     """The report's pulse stepped edge by edge: the population rows (t, p),
     each edge's fidelity to its far level and each edge's final state."""
-    prop = SegmentPropagator(build_rabi(params), build_control(params), delta)
+    free = (spec.eigenvalues, spec.eigenvectors)
+    prop = SegmentPropagator(build_rabi(params), build_control(params), delta, free)
     tracked = spec.eigenvectors[:, report.tracked_levels]
     psi = spec.eigenvectors[:, spec.level_of(SOURCE)].astype(complex)
     rows, fidelities, states, t = [], [], [], 0.0
@@ -85,11 +87,10 @@ def stepped_reference(params, spec, report, delta):
 def test_transfer_outputs_are_the_stepped_ones(n_fock, Omega, g, delta, target, data):
     params = ModelParams(1.0, Omega, g, n_fock)
     dim = params.dim
-    doublings = [2 * b * (dim + b) for b in (1, 2, 4, 8, 16) if 2 * b <= dim]
     max_periods = data.draw(
         st.one_of(
             st.sampled_from(BLOCK_EDGES),
-            st.builds(int.__add__, st.sampled_from(doublings), st.integers(0, 1)),
+            st.builds(int.__add__, st.sampled_from(doubling_horizons(dim)), st.integers(0, 1)),
             st.integers(4 * dim**2 + 1, 4 * dim**2 + 64),
         ),
         label="max_periods",

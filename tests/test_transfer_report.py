@@ -3,6 +3,7 @@ every H0 + u*B solve, the mean Hamiltonian's included."""
 
 import json
 
+import numpy as np
 import pytest
 
 from spinboson import (
@@ -10,6 +11,7 @@ from spinboson import (
     ModelParams,
     TransferError,
     build_control,
+    build_rabi,
     certify_chain,
     coupling_graph,
     design_transfer,
@@ -31,13 +33,16 @@ def certified(params, window):
     return spec, graph
 
 
-def recording_eigh(monkeypatch):
-    """Route control's dense solves through a recorder; returns its call list."""
+def recording_eigh(monkeypatch, matrices=None):
+    """Route control's dense solves through a recorder; returns its call list.
+    Each solved matrix is appended to `matrices` if given."""
     calls = []
     solve = control.dense_eigh
 
     def record(matrix, name):
         calls.append(name)
+        if matrices is not None:
+            matrices.append(matrix)
         return solve(matrix, name)
 
     monkeypatch.setattr("spinboson.control.dense_eigh", record)
@@ -63,13 +68,17 @@ def test_sweep_returns_the_report_design_transfer_reads(target, window):
 
 
 def test_every_solve_is_the_propagators(monkeypatch):
-    # u = 0, u = delta and the mean Hamiltonian u = delta/2, one solve each
-    calls = recording_eigh(monkeypatch)
+    # the mean Hamiltonian u = delta/2 and u = delta, one solve each; u = 0
+    # takes H0's eigenpairs from the labelled spectrum's chain solves
+    matrices = []
+    calls = recording_eigh(monkeypatch, matrices)
     report = transfer_experiment(
         P, SOURCE, BasisIndex(1, 1), 0.02, window=6, max_periods=50
     )
     assert len(report.edges) == 2
-    assert calls == ["H0 + u*B"] * 3
+    assert calls == ["H0 + u*B"] * 2
+    h0, b = build_rabi(P).entries, build_control(P).entries
+    assert [np.array_equal(m, h0 + u * b) for m, u in zip(matrices, (0.01, 0.02))] == [True] * 2
 
 
 def test_identity_transfer_solves_nothing(monkeypatch):
@@ -90,6 +99,22 @@ def test_spectrum_failures_reach_the_caller_unwrapped(monkeypatch, error):
     monkeypatch.setattr("spinboson.control.labelled_spectrum", failing)
     with pytest.raises(error, match="spectrum failed"):
         transfer_experiment(P, SOURCE, BasisIndex(1, -1), 0.02)
+
+
+@pytest.mark.parametrize(
+    "other", [P.with_g(0.3), ModelParams(1.0, 1.05, 0.2, 12)], ids=["g", "n_fock"]
+)
+def test_spectrum_of_other_params_is_refused(monkeypatch, other):
+    # the transfer would run on the spectrum's model, or fail deep in the graph
+    calls = recording_eigh(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        transfer_experiment(
+            P, SOURCE, BasisIndex(1, -1), 0.02, spectrum=labelled_spectrum(other)
+        )
+    message = str(err.value)
+    assert message.startswith("spectrum ")
+    assert str(other) in message and str(P) in message
+    assert calls == []
 
 
 def test_zero_default_window_is_a_graph_error():

@@ -62,14 +62,16 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # omega = Omega = 1e-13, where every energy gap lies within the tolerance, so
 # its 440 violations (exit 1) pin the violation order. Last, the transfer
 # search in each regime of its block size B (periods per giant step): at
-# n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 2 at 100, B capped at 8
+# n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 8 at 100, B capped at 8
 # by 2N = 10 at n_fock 5 (at n_fock 4 the trusted window of one level holds
 # no path), and the n_fock 8 ladder at 10**5 periods (B = 16). Then branches
 # over a range symmetric about 0 whose steps bisect near Omega = 5 omega, both
 # signs of g sharing each mirrored chain solve, and branches over an asymmetric
-# range, whose grid stays linspace's. Last, a two-edge transfer at n_fock 64
-# (B = 8, as in the benchmark), whose second edge starts from the state the
-# first edge's search iterates end on.
+# range, whose grid stays linspace's. Then a two-edge transfer at n_fock 64
+# (B = 32, as in the benchmark), whose second edge starts from the state the
+# first edge's search iterates end on. Last, a default ladder transfer at
+# n_fock 256 (2N = 512, B = 8), where pricing squarings at GEMM speed moved
+# B the furthest (from 2), so its counts guard against discrete drift.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -97,6 +99,7 @@ REFERENCE = [
     ),
     workloads.Op("branches", {**_model(1.05, 0.0, 32), "grid": {"g_min": -0.02, "g_max": 0.05}}),
     _transfer(_model(1.05, 0.2, 64), {"n": 1, "s": 1}),
+    _transfer(_model(1.05, 0.2, 256), {"n": 1, "s": -1}),
 ]
 SETS = (*workloads.NAMES, "reference")
 
