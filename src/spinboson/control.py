@@ -14,9 +14,10 @@ its one-period (Floquet) operator P in the driven eigenbasis, B periods per
 matrix-vector product with P^B (baby-step/giant-step). B is a power of two
 <= 2N, so the B precomputed rows never outgrow P, and it doubles only while
 one more squaring, priced at GEMM speed, costs less than the products it
-saves over max_periods. The same squarings build the rows of the path levels'
-amplitudes, so the populations, the edge fidelity and the next edge's start
-state come from the search's own iterates, and a transfer steps nothing.
+saves over max_periods. The same squarings build the one row set, the path
+levels' amplitudes; the far level's column ranks the counts, and the
+populations, the edge fidelity (its far population, bit for bit) and the next
+edge's start state come from the same iterates, so a transfer steps nothing.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ class SegmentPropagator:
     real and imaginary parts go through each basis change as the two columns
     of one real matrix product, and each amplitude keeps the phase vector of its
     last duration, which a square wave repeats. A square wave between 0 and
-    delta is not stepped: `_search` sets up its one-period operator,
-    `_fidelity_blocks` ranks its segment counts and `_replay` rebuilds the
-    kept count's populations and state from the same iterates.
+    delta is not stepped: `_search` sets up its one-period operator and rows,
+    `_fidelity_blocks` gives the populations that rank its segment counts and
+    `_replay` rebuilds the kept count's populations and state from them.
     """
 
     def __init__(
@@ -164,9 +165,7 @@ class SegmentPropagator:
     def _decomposition(self, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
         if amplitude not in self._cache:
             if not (0 <= amplitude <= self.delta):
-                raise ValueError(
-                    f"amplitude {amplitude} outside [0, {self.delta}]"
-                )
+                raise ValueError(f"amplitude {amplitude} outside [0, {self.delta}]")
             self._cache[amplitude] = dense_eigh(self.h0 + amplitude * self.b, "H0 + u*B")
         return self._cache[amplitude]
 
@@ -183,22 +182,19 @@ class SegmentPropagator:
         """V_0^T V_delta: the free eigenbasis against the driven one."""
         return self._decomposition(0.0)[1].T @ self._decomposition(self.delta)[1]
 
-    def _search(self, psi, far, half, horizon, tracked=None):
+    def _search(self, psi, tracked, half, horizon):
         """The start of the blocked search over the square wave of half-period
-        `half` that starts on u = delta: (c, rows, P^B, population rows).
+        `half` that starts on u = delta: (c, rows, P^B).
 
         No lab-basis state is built. In the driven eigenbasis one period is
         P = M^T Phi_0 M Phi_delta, with M = V_0^T V_delta and
         Phi_u = exp(-i w_u half). With c = V_delta^T psi, the state after
-        2m + 1 half-periods is V_delta Phi_delta P^m c, so its amplitude on
-        the real `far` is r^T P^m c, r = Phi_delta * (V_delta^T far). The
-        periods go in blocks of B = `_block_size(horizon, 2N)`: the rows
-        r^T P^b, b < B, and P^B come from log2(B) squarings. For real lab
-        columns `tracked`, the same squarings double the rows R Phi_delta P^b,
-        R = tracked^T V_delta, in their own products, so the far rows and P^B
-        do not depend on them; they come as a (B, len(tracked), 2N) array
-        whose row b gives the tracked amplitudes after half-period 2b + 1 of
-        a block. Without `tracked` they are None.
+        2m + 1 half-periods is V_delta Phi_delta P^m c, so its amplitudes on
+        the real lab columns `tracked` are R Phi_delta P^m c, R = tracked^T
+        V_delta. The periods go in blocks of B = `_block_size(horizon, 2N)`:
+        the rows R Phi_delta P^b, b < B, and P^B come from log2(B) squarings,
+        as one (B, len(tracked), 2N) array whose row b gives the tracked
+        amplitudes after half-period 2b + 1 of a block.
         """
         w_d, v_d = self._decomposition(self.delta)
         w_0, _ = self._decomposition(0.0)
@@ -211,17 +207,12 @@ class SegmentPropagator:
         power.imag = m.T @ (m * -np.sin(w_0 * half)[:, None])
         power *= phase_d
         c = _real_matvec(v_d.T, psi)
-        rows = (phase_d * (v_d.T @ far))[None, :]
-        pops = None
-        if tracked is not None:
-            pops = ((tracked.T @ v_d) * phase_d)[None]
+        rows = ((tracked.T @ v_d) * phase_d)[None]
         block = _block_size(horizon, len(c))
         while len(rows) < block:
-            if pops is not None:
-                pops = np.concatenate([pops, pops @ power])
-            rows = np.vstack([rows, rows @ power])  # r^T P^b for b < 2 len(rows)
+            rows = np.concatenate([rows, rows @ power])  # b < 2 len(rows)
             power = power @ power
-        return c, rows, power, pops
+        return c, rows, power
 
     def driven_fidelities(
         self, psi: np.ndarray, far: np.ndarray, half: float, horizon: int | None = None
@@ -229,43 +220,42 @@ class SegmentPropagator:
         """|<far| psi(m)>|^2 for m = 0, 1, 2, ..., without end, where psi(m) is
         psi after 2m + 1 half-periods `half` of the square wave that starts on
         u = delta and alternates with u = 0; `far` is real. These are the
-        blocks of `_fidelity_blocks` on `_search`'s rows, one float at a time,
-        so memory does not grow with m; without a horizon, B = 1.
+        blocks of `_fidelity_blocks` with `far` the one tracked column, one
+        float at a time, so memory does not grow with m; without a horizon, B = 1.
         """
-        c, rows, power, _ = self._search(psi, far, half, horizon)
-        for fidelities in _fidelity_blocks(c, rows, power):
-            yield from fidelities.tolist()
+        c, rows, power = self._search(psi, far[:, None], half, horizon)
+        for _, fidelities in _fidelity_blocks(c, rows, power):
+            yield from fidelities.ravel().tolist()
 
-    def _replay(self, c, power, pops, half, periods):
+    def _replay(self, c, power, rows, half, periods):
         """The search from `c` once more, up to its period `periods`: the
-        tracked amplitudes after each of its driven half-periods, as rows,
+        tracked populations after each of its driven half-periods, as rows,
         and the lab state after the last, V_delta Phi_delta P^(periods-1) c.
-        Whole blocks go by P^B as in the search, so its iterates repeat bit
-        for bit; the rest of the last block goes one period at a time through
-        M, P c = M^T (Phi_0 * (M (Phi_delta * c))), so no complex (2N)^2
-        matrix is held beside P^B.
+        Whole blocks come from `_fidelity_blocks`, as in the search, so its
+        populations repeat bit for bit; the rest of the last block goes one
+        period at a time through M, P c = M^T (Phi_0 * (M (Phi_delta * c))),
+        so no complex (2N)^2 matrix is held beside P^B.
         """
         w_d, v_d = self._decomposition(self.delta)
         w_0, _ = self._decomposition(0.0)
         m = self._overlap
         phase_d, phase_0 = np.exp(-1j * w_d * half), np.exp(-1j * w_0 * half)
-        flat = pops.reshape(-1, len(c))
-        whole, rest = divmod(periods - 1, len(pops))
-        amplitudes = [flat @ c]
-        for _ in range(whole):
-            c = power @ c
-            amplitudes.append(flat @ c)
+        whole, rest = divmod(periods - 1, len(rows))
+        populations = []
+        for c, block in itertools.islice(_fidelity_blocks(c, rows, power), whole + 1):
+            populations.append(block)
         for _ in range(rest):
             c = _real_matvec(m.T, phase_0 * _real_matvec(m, phase_d * c))
-        rows = np.concatenate(amplitudes).reshape(-1, pops.shape[1])
-        return rows[:periods], _real_matvec(v_d, phase_d * c)
+        return np.concatenate(populations)[:periods], _real_matvec(v_d, phase_d * c)
 
 
 def _fidelity_blocks(c, rows, power):
-    """|r^T P^m c|^2 for m = 0, 1, 2, ..., without end, one array of the
-    B = len(rows) periods of each giant step c <- P^B c."""
+    """(c, |R Phi_delta P^b c|^2 for b < B) for each giant step c <- P^B c,
+    without end: the tracked populations as one (B, L) array per block of
+    B = len(rows) periods, with the coefficients the block starts from."""
+    flat = rows.reshape(-1, len(c))
     while True:
-        yield np.abs(rows @ c) ** 2
+        yield c, (np.abs(flat @ c) ** 2).reshape(rows.shape[:2])
         c = power @ c
 
 
@@ -372,10 +362,10 @@ def design_transfer(
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     """The `TransferReport` of `design_transfer`'s pulse for these `max_periods`
-    and `threshold`. Per edge, `_fidelity_blocks` ranks the counts a block of
-    periods at a time; then `_replay` repeats the search's iterates up to the
-    kept count, and they give the populations of the path levels and the next
-    edge's start. The edge fidelity is the search's own maximum."""
+    and `threshold`. Per edge, the far level's column of `_fidelity_blocks`
+    ranks the counts a block of periods at a time; then `_replay` repeats the
+    search up to the kept count for the path levels' populations, whose last
+    far one is the edge fidelity, and the next edge's start."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
@@ -405,21 +395,22 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
         # only counts ending on a driven half-period are ranked. The first
         # strict maximum wins: argmax takes a block's first maximum, and >
         # keeps an equal one from an earlier block
-        coeffs, rows, power, pops = prop._search(psi, far, half, max_periods, level_vecs)
+        coeffs, rows, power = prop._search(psi, level_vecs, half, max_periods)
         blocks = _fidelity_blocks(coeffs, rows, power)
+        column = levels.index(c)
         for first in range(0, max_periods, len(rows)):
-            fids = next(blocks)[: max_periods - first]
+            fids = next(blocks)[1][: max_periods - first, column]
             best = int(fids.argmax())
             if fids[best] > best_fid:
                 best_fid, periods = float(fids[best]), first + best + 1
         count = 2 * periods - 1 if periods else 0
         if count:
-            amplitudes, psi = prop._replay(coeffs, power, pops, half, periods)
+            pops, psi = prop._replay(coeffs, power, rows, half, periods)
             # a running sum adds the half-periods in order, as t += half would
             times = np.cumsum([t, *itertools.repeat(half, count)])[1:].tolist()
             # a free half-period leaves the populations of H0 eigenstates as
             # the driven one before it left them
-            probs = np.repeat(np.abs(amplitudes) ** 2, 2, axis=0)[:count].tolist()
+            probs = np.repeat(pops, 2, axis=0)[:count].tolist()
             populations.extend({"t": x, "p": p} for x, p in zip(times, probs))
             segments.extend((half, delta if s % 2 == 0 else 0.0) for s in range(count))
             t = times[-1]

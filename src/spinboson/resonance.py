@@ -135,15 +135,18 @@ def _close_pairs(keys: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray
 
 
 def numeric_resonance_scan(
-    spectrum: Spectrum, window: int, tol: float
+    spectrum: Spectrum, window: int, tol: float | None = None
 ) -> ScanReport:
     """Enumerate gap collisions among the lowest `window` levels.
 
     The raw list holds every colliding pair of distinct level pairs; the
     filtered list keeps only those the non-resonance definition actually
     forbids, i.e. pairs sharing exactly one level (identical pairs are the
-    same transition and disjoint pairs are exempt).
+    same transition and disjoint pairs are exempt). The default `tol` is
+    1e-9 times the spectral diameter (1e-300 when that is 0).
     """
+    if tol is None:
+        tol = 1e-9 * max(spectrum.spectral_diameter(), 1e-300)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if window < min(1, spectrum.dim):  # an empty spectrum has the empty window
@@ -231,9 +234,6 @@ def coupling_graph(
         floor = 1e-8 * control_norm(b_op.dim // 2)
     if floor <= 0:
         raise ValueError("floor must be positive")
-    if tol is None:
-        tol = 1e-9 * max(spectrum.spectral_diameter(), 1e-300)
-
     scan = numeric_resonance_scan(spectrum, window, tol)
     resonant_pairs = {pair for a, b, _ in scan.filtered for pair in (a, b)}
 
@@ -253,7 +253,7 @@ def coupling_graph(
         weight = float(b_eig[a, b])
         if abs(weight) > floor:
             edges.append(GraphEdge(a, b, weight, (a, b) not in resonant_pairs))
-    return TransitionGraph(nodes, edges, floor, tol, excluded)
+    return TransitionGraph(nodes, edges, floor, scan.tol, excluded)
 
 
 @dataclass
@@ -340,11 +340,12 @@ def certify_chain(graph: TransitionGraph) -> ChainCertificate:
 def degenerate_quadruple_check(window: int, omega: float) -> dict:
     """Exhaustive first-order separation check for the omega = Omega branches.
 
-    Branches carry omega times their `bare_energy` in units of omega (the integer k
-    at Omega = omega) and the splitting slope +-sqrt(k/2), 0 for the ground branch.
-    A violation is a nontrivial quadruple with equal order-0 gaps and slope differences,
-    swept for on the sorted n**2 slope differences in O(n**2 log n + candidates);
-    the n diagonal differences, all exactly 0, enter the sweep as one.
+    Branches carry their `bare_energy` in units of omega (the integer k at
+    Omega = omega), so the report does not depend on omega, and the splitting
+    slope +-sqrt(k/2), 0 for the ground branch. A violation is a nontrivial
+    quadruple with equal order-0 gaps and slope differences, swept for on the
+    sorted n**2 slope differences in O(n**2 log n + candidates); the n diagonal
+    differences, all exactly 0, enter the sweep as one.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -355,7 +356,7 @@ def degenerate_quadruple_check(window: int, omega: float) -> dict:
         slope += degenerate_slopes(j)
         levels += [BasisIndex(j, 1), BasisIndex(j + 1, -1)]
     levels = levels[:window]
-    energy = [omega * bare_energy(lab.n, lab.s, 1.0, 1.0) for lab in levels]
+    energy = [bare_energy(lab.n, lab.s, 1.0, 1.0) for lab in levels]
     labels = [str(lab) for lab in levels]
     n = len(labels)
     x, y = (np.subtract.outer(v, v).ravel() for v in (energy, slope[:n]))

@@ -26,7 +26,7 @@ from test_resonance_properties import reference_quadruple_check  # noqa: E402
     st.integers(0, 40),
     st.floats(-15, 3).map(lambda e: 10.0**e),  # omega log-uniform in [1e-15, 1e3]
 )
-@example(24, 5e-324)  # every energy gap is zero: the slopes alone decide
+@example(24, 5e-324)  # every gap is zero in absolute terms, not in units of omega
 @example(40, 5e-324)
 def test_quadruple_check_matches_loop_at_any_scale(window, omega):
     got = degenerate_quadruple_check(window, omega)

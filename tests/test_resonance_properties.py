@@ -37,12 +37,14 @@ def reference_scan(spectrum, window, tol):
 
 
 def reference_quadruple_check(window, omega):
+    # energies in units of omega: the gaps are integers and the slopes do not
+    # depend on omega, so neither does the report
     branches = [(0.0, 0.0, BasisIndex(0, -1))]
     j = 0
     while len(branches) < window:
         up, dn = degenerate_slopes(j)
-        branches.append((omega * (j + 1), up, BasisIndex(j, 1)))
-        branches.append((omega * (j + 1), dn, BasisIndex(j + 1, -1)))
+        branches.append((float(j + 1), up, BasisIndex(j, 1)))
+        branches.append((float(j + 1), dn, BasisIndex(j + 1, -1)))
         j += 1
     branches = branches[:window]
 
@@ -132,8 +134,8 @@ def test_scan_matches_loop(planted):
 
 @pytest.mark.parametrize("omega", [1e-13, 1e-12, 0.5, 1.0, 3.7])
 def test_quadruple_check_matches_loop(omega):
-    # omega = 1e-13 puts every energy gap within the tolerance, so the
-    # slopes alone decide and violations appear
+    # the gaps are compared in units of omega, so omega = 1e-13, whose gaps
+    # all lie within the absolute tolerance, reports what omega = 1 does
     for window in range(25):
         got = degenerate_quadruple_check(window, omega)
         assert json.dumps(got) == json.dumps(reference_quadruple_check(window, omega))

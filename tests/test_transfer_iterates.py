@@ -139,6 +139,12 @@ def test_transfer_outputs_are_the_stepped_ones(n_fock, Omega, g, delta, target, 
         assert np.max(np.abs(designed - np.array([p for _, p in rows]))) <= tol
     for edge, stepped in zip(report.edges, fidelities):
         assert abs(edge["fidelity"] - stepped) <= tol
+    # an edge that keeps a segment reports its far level's population on its
+    # last row, bit for bit
+    for edge, last in zip(report.edges, np.cumsum([e["n_segments"] for e in report.edges]) - 1):
+        if edge["n_segments"]:
+            far_column = report.tracked_levels.index(edge["edge"][1])
+            assert edge["fidelity"] == report.populations[last]["p"][far_column]
     # `_replay` runs once per edge that keeps a segment, and returns its final state
     kept = [state for edge, state in zip(report.edges, states) if edge["n_segments"]]
     assert len(replayed) == len(kept)

@@ -58,9 +58,9 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # small enough that every chain solve proves orthonormality by its Gram matrix;
 # then a chain labelled by rank near the edge Omega = 2 omega of the near-tie
 # rule, and a spectrum at Omega = 4 omega, where the continuation's labels
-# depart from rank away from an odd resonance; then the degenerate check at
-# omega = Omega = 1e-13, where every energy gap lies within the tolerance, so
-# its 440 violations (exit 1) pin the violation order. Last, the transfer
+# depart from rank away from an odd resonance; then the degenerate suite at
+# omega = Omega = 1e-13, whose quadruple check reports what omega = 1 does,
+# while the stencil of step 1e-3 misses the slopes (exit 1). Last, the transfer
 # search in each regime of its block size B (periods per giant step): at
 # n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 8 at 100, B capped at 8
 # by 2N = 10 at n_fock 5 (at n_fock 4 the trusted window of one level holds
@@ -69,9 +69,11 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # signs of g sharing each mirrored chain solve, and branches over an asymmetric
 # range, whose grid stays linspace's. Then a two-edge transfer at n_fock 64
 # (B = 32, as in the benchmark), whose second edge starts from the state the
-# first edge's search iterates end on. Last, a default ladder transfer at
+# first edge's search iterates end on. Then a default ladder transfer at
 # n_fock 256 (2N = 512, B = 8), where pricing squarings at GEMM speed moved
-# B the furthest (from 2), so its counts guard against discrete drift.
+# B the furthest (from 2), so its counts guard against discrete drift. Last,
+# the degenerate suite at omega = Omega = 1e4, the large side of the quadruple
+# check's independence of omega (exit 0).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -100,6 +102,9 @@ REFERENCE = [
     workloads.Op("branches", {**_model(1.05, 0.0, 32), "grid": {"g_min": -0.02, "g_max": 0.05}}),
     _transfer(_model(1.05, 0.2, 64), {"n": 1, "s": 1}),
     _transfer(_model(1.05, 0.2, 256), {"n": 1, "s": -1}),
+    workloads.Op(
+        "degenerate", {**_model(1e4, 0.0, 16, omega=1e4), "degenerate": {"window": 24}}
+    ),
 ]
 SETS = (*workloads.NAMES, "reference")
 
