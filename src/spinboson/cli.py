@@ -406,8 +406,9 @@ def cmd_degenerate(cfg: dict) -> int:
         _out(cfg, "degenerate.json"),
         dump_json({"slopes": slopes, "quadruple_check": check}),
     )
-    # the stencil step h = 1e-3 is not small against a small omega, where the
-    # numeric slopes miss the closed forms; argmax finds a NaN miss first
+    # the stencil step scales with omega, so the numeric slopes meet the closed
+    # forms at any omega; a miss still fails the command, and argmax finds a
+    # NaN miss first
     miss = np.abs([row["slope_numeric"] - row["slope_closed"] for row in slopes])
     worst = int(np.argmax(miss))
     if not miss[worst] <= spectral.SLOPE_TOL:

@@ -114,7 +114,6 @@ class StateVector:
     """Complex state over the product basis, unit norm to 1e-9."""
 
     amplitudes: np.ndarray
-    basis: list[BasisIndex]
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -135,11 +134,11 @@ class SegmentPropagator:
 
     `step` never forms a complex copy of the real eigenbasis: the state's
     real and imaginary parts go through each basis change as the two columns
-    of one real matrix product, and each amplitude keeps the phase vector of its
-    last duration, which a square wave repeats. A square wave between 0 and
-    delta is not stepped: `_search` sets up its one-period operator and rows,
-    `_fidelity_blocks` gives the populations that rank its segment counts and
-    `_replay` rebuilds the kept count's populations and state from them.
+    of one real matrix product, with the phases exp(-i w duration) applied
+    between them. A square wave between 0 and delta is not stepped: `_search`
+    sets up its one-period operator and rows, `_fidelity_blocks` gives the
+    populations that rank its segment counts and `_replay` rebuilds the kept
+    count's populations and state from them.
     """
 
     def __init__(
@@ -160,7 +159,6 @@ class SegmentPropagator:
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         if free is not None:
             self._cache[0.0] = free
-        self._phases: dict[float, tuple[float, np.ndarray]] = {}  # last (duration, phase)
 
     def _decomposition(self, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
         if amplitude not in self._cache:
@@ -172,10 +170,7 @@ class SegmentPropagator:
     def step(self, psi: np.ndarray, duration: float, amplitude: float) -> np.ndarray:
         """exp(-i (H0 + u B) duration) psi as a new contiguous complex vector."""
         w, v = self._decomposition(amplitude)
-        last = self._phases.get(amplitude)
-        if last is None or last[0] != duration:
-            last = self._phases[amplitude] = (duration, np.exp(-1j * w * duration))
-        return _real_matvec(v, _real_matvec(v.T, psi) * last[1])
+        return _real_matvec(v, _real_matvec(v.T, psi) * np.exp(-1j * w * duration))
 
     @cached_property
     def _overlap(self) -> np.ndarray:
@@ -307,7 +302,7 @@ def propagate(
         t += duration
         if record is not None:
             record(t, psi)
-    return StateVector(psi, psi0.basis)
+    return StateVector(psi)
 
 
 def _witness_path(graph: TransitionGraph, source: int, target: int) -> list[int]:
@@ -424,7 +419,7 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
         )
         if best_fid < threshold:
             edge_reports[-1]["saturated_below_threshold"] = True
-    final = StateVector(psi, h0.basis)
+    final = StateVector(psi)
     fidelity = final.fidelity(spectrum.eigenvectors[:, tgt].astype(complex))
     return TransferReport(
         spectrum.params,

@@ -46,8 +46,9 @@ TIE_TOL = 1e-12
 
 
 def tied(a, b):
-    """Whether a and b (floats or arrays) agree to TIE_TOL relative to max(1, |a|, |b|)."""
-    return abs(a - b) <= TIE_TOL * np.maximum(1.0, np.maximum(abs(a), abs(b)))
+    """Whether a and b (floats or arrays) agree to TIE_TOL relative to max(|a|, |b|),
+    with no absolute floor, so scaling both by any factor gives the same answer."""
+    return abs(a - b) <= TIE_TOL * np.maximum(abs(a), abs(b))
 
 
 def near_tied(chain: np.ndarray, omega: float) -> bool:
@@ -147,11 +148,10 @@ def basis_order(n_fock: int) -> list[BasisIndex]:
 
 @dataclass
 class LabeledOperator:
-    """Real symmetric matrix over the product basis plus metadata."""
+    """Named real symmetric matrix over the product basis, indexed as `basis_order`."""
 
     name: str
     entries: np.ndarray
-    basis: list[BasisIndex]
 
     @property
     def dim(self) -> int:
@@ -182,7 +182,7 @@ class LabeledOperator:
         d = json.loads(text)
         dim = int(d["dim"])
         entries = np.array(d["entries"], dtype=float).reshape(dim, dim)
-        return cls(d["name"], entries, basis_order(dim // 2))
+        return cls(d["name"], entries)
 
     def to_csv(self, path: str | os.PathLike) -> None:
         """Write nonzero entries as (i, j, value) triplets."""
@@ -192,8 +192,7 @@ class LabeledOperator:
 
 
 def _empty(params: ModelParams, name: str) -> LabeledOperator:
-    dim = params.dim
-    return LabeledOperator(name, np.zeros((dim, dim)), basis_order(params.n_fock))
+    return LabeledOperator(name, np.zeros((params.dim, params.dim)))
 
 
 def _set_sym(m: np.ndarray, i, j, value) -> None:

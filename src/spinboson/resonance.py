@@ -70,9 +70,14 @@ def classify_quadruple(
     """Lowest series order at which the two gaps differ.
 
     Order 0 compares the uncoupled gaps; order 2 the second-order coefficient
-    differences; order 4 the fourth-order ones.
+    differences; order 4 the fourth-order ones. The closed forms are taken in
+    units of omega, at (1, Omega/omega): E0 scales as omega, E2 as 1/omega and
+    E4 as 1/omega^3, so one tolerance fits all three only there, and the order
+    does not depend on the unit of energy. `gap_difference` is the order-0
+    gap difference times omega.
     """
-    if tied(omega, Omega):
+    ratio = Omega / omega
+    if tied(1.0, ratio):
         raise ValueError("omega = Omega: use degenerate_quadruple_check")
     if i == j:
         raise ValueError("need i != j")
@@ -80,19 +85,15 @@ def classify_quadruple(
         raise ValueError("need (i, j) != (k, l)")
 
     def gap_diff(coef) -> float:
-        return (coef(i) - coef(j)) - (coef(k) - coef(l))
+        ei, ej, ek, el = (coef(lev, 1.0, ratio) for lev in (i, j, k, l))
+        return (ei - ej) - (ek - el)
 
-    scale = max(1.0, omega, Omega) * max(1, i.n, j.n, k.n, l.n)
-    d0 = gap_diff(lambda lev: e0_closed(lev, omega, Omega))
-    if abs(d0) > _EXACT_TOL * scale:
-        return GapQuadruple(i, j, k, l, abs(d0), 0)
-    d2 = gap_diff(lambda lev: e2_closed(lev, omega, Omega))
-    if abs(d2) > _EXACT_TOL * scale:
-        return GapQuadruple(i, j, k, l, abs(d0), 2)
-    d4 = gap_diff(lambda lev: e4_closed(lev, omega, Omega))
-    if abs(d4) > _EXACT_TOL * scale:
-        return GapQuadruple(i, j, k, l, abs(d0), 4)
-    return GapQuadruple(i, j, k, l, abs(d0), "unresolved")
+    scale = max(1.0, ratio) * max(1, i.n, j.n, k.n, l.n)
+    gap = abs(gap_diff(e0_closed)) * omega
+    for order, coef in ((0, e0_closed), (2, e2_closed), (4, e4_closed)):
+        if abs(gap_diff(coef)) > _EXACT_TOL * scale:
+            return GapQuadruple(i, j, k, l, gap, order)
+    return GapQuadruple(i, j, k, l, gap, "unresolved")
 
 
 @dataclass

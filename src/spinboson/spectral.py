@@ -178,7 +178,6 @@ class Spectrum:
     """Eigenpairs of one operator at one parameter point."""
 
     params: ModelParams | None
-    operator_name: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     labels: dict[int, BasisIndex]
@@ -315,10 +314,10 @@ def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spect
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
     w, v = dense_eigh(op.entries, op.name)
-    labels, ambiguous = _attach_labels(v, op.basis)
+    labels, ambiguous = _attach_labels(v, basis_order(op.dim // 2))
     # a bare operator makes no truncation claim
     trust_cutoff = op.dim if params is None else trusted_levels(params)
-    return Spectrum(params, op.name, w, v, labels, ambiguous, trust_cutoff)
+    return Spectrum(params, w, v, labels, ambiguous, trust_cutoff)
 
 
 @dataclass
@@ -472,7 +471,7 @@ def _rabi_at(params: ModelParams, w, vecs, src, labels, signs=None, mirror=False
     ranked = src[order]
     v = _placed(vecs, ranked, None if signs is None else signs[order], mirror)
     by_rank = {} if labels is None else dict(enumerate(labels[b] for b in order.tolist()))
-    return Spectrum(params, "H_Rabi", w[ranked], v, by_rank, [], trusted_levels(params))
+    return Spectrum(params, w[ranked], v, by_rank, [], trusted_levels(params))
 
 
 def rabi_spectrum(params: ModelParams) -> Spectrum:
@@ -626,15 +625,17 @@ def hellmann_feynman_check(
 ) -> list[dict]:
     """Compare dE/dg (finite differences) against the Rayleigh value <v, V v>.
 
-    Uses a 4th-order centered stencil with step h = 1e-3 * max(1, |g|); each
-    stencil point g + d is read off one solve of the two chains at |g + d|,
-    mirrored below 0 (see the module docstring), with no trust scan,
+    Uses a 4th-order centered stencil with step h = 1e-3 * max(min(omega,
+    Omega), |g|). The step scales with the model, as H(c omega, c Omega, c g)
+    = c H(omega, Omega, g), so the slopes do not depend on the unit of energy.
+    Each stencil point g + d is read off one solve of the two chains at
+    |g + d|, mirrored below 0 (see the module docstring), with no trust scan,
     and matched by overlap, so g may be any grid point, an end one included.
     At g = 0 the points -h and -2h share the solves of h and 2h.
     """
     gi = branch.grid_index(g)
-    h = 1e-3 * max(1.0, abs(g))
     params = branch.params_base
+    h = 1e-3 * max(min(params.omega, params.Omega), abs(g))
     vectors = branch.vectors_at(gi)
     solves = {}
 

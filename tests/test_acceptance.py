@@ -217,7 +217,7 @@ def test_criterion_09_conservation_suite():
         )
     p = ModelParams(1.0, 1.05, 0.2, 16)
     h0, b = build_rabi(p), build_control(p)
-    psi0 = StateVector(np.eye(p.dim)[0].astype(complex), h0.basis)
+    psi0 = StateVector(np.eye(p.dim)[0].astype(complex))
     pulse = Pulse([(0.4, 0.02 * (k % 2)) for k in range(1000)], 0.02)
     out = propagate(h0, b, pulse, psi0)
     drift = abs(float(np.linalg.norm(out.amplitudes)) - 1.0)

@@ -80,7 +80,8 @@ def test_vectors_at_re_solves_off_zero_only(monkeypatch):
 @pytest.mark.parametrize("omega, n_fock", [(1.0, 16), (0.7, 16), (2.5, 64)])
 def test_degenerate_slopes_match_the_five_point_track(tmp_path, omega, n_fock):
     # the stencil of `hellmann_feynman_check` at g = 0 solves the same chains
-    # at +-1e-3 and +-2e-3 that a continuation over those points does
+    # at +-h and +-2h, h = 1e-3 * omega, that a continuation over those points
+    # does
     cfg = {
         "model": {"omega": omega, "Omega": omega, "g": 0.0, "n_fock": n_fock},
         "degenerate": {"j_max": 5},
@@ -92,7 +93,7 @@ def test_degenerate_slopes_match_the_five_point_track(tmp_path, omega, n_fock):
     slopes = json.loads((tmp_path / "degenerate.json").read_text())["slopes"]
     assert len(slopes) == 12
 
-    h = 1e-3
+    h = 1e-3 * omega
     fam = track_branches(
         ModelParams(omega, omega, 0.0, n_fock), np.array([-2 * h, -h, 0.0, h, 2 * h])
     )

@@ -26,7 +26,7 @@ ITERATE_TOL = 1e-12  # a transfer's search iterates against stepping its pulse
 
 
 def eigenstate(spec, k):
-    return StateVector(spec.eigenvectors[:, k].astype(complex), [])
+    return StateVector(spec.eigenvectors[:, k].astype(complex))
 
 
 def test_pulse_validation():
@@ -53,8 +53,8 @@ def test_pulse_roundtrip(tmp_path):
 
 def test_statevector_norm():
     with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), [])
-    sv = StateVector(np.array([1.0, 0.0]), [])
+        StateVector(np.array([1.0, 1.0]))
+    sv = StateVector(np.array([1.0, 0.0]))
     assert sv.fidelity(np.array([1.0, 0.0])) == 1.0
 
 
@@ -107,7 +107,7 @@ def test_energy_conserved_on_free_stretch():
     b = build_control(P)
     rng = np.random.default_rng(3)
     raw = rng.normal(size=P.dim) + 1j * rng.normal(size=P.dim)
-    psi0 = StateVector(raw / np.linalg.norm(raw), h0.basis)
+    psi0 = StateVector(raw / np.linalg.norm(raw))
     energies = []
 
     def record(t, psi):
@@ -137,7 +137,7 @@ def test_propagate_rejects_mismatch():
     h0 = build_rabi(P)
     b = build_control(ModelParams(1.0, 1.05, 0.2, 8))
     with pytest.raises(ValueError):
-        propagate(h0, b, Pulse([(1.0, 0.0)], 0.02), StateVector(np.eye(P.dim)[0], []))
+        propagate(h0, b, Pulse([(1.0, 0.0)], 0.02), StateVector(np.eye(P.dim)[0]))
 
 
 def test_design_identity_transfer():

@@ -45,6 +45,6 @@ def test_asymmetric_control_fails_the_checked_solve():
     p = ModelParams(1.0, 1.05, 0.2, 8)
     h0, b = build_rabi(p), build_control(p)
     b.entries[0, 2] += 0.5
-    psi0 = StateVector(np.eye(p.dim)[BasisIndex(0, -1).k], h0.basis)
+    psi0 = StateVector(np.eye(p.dim)[BasisIndex(0, -1).k])
     with pytest.raises(SolverError, match="residual"):
         propagate(h0, b, Pulse([(1.0, 0.02)], 0.02), psi0)

@@ -33,7 +33,7 @@ def test_propagate_is_unitary_and_reversible(n_fock, Omega, g, delta, segments, 
     h0, b = build_rabi(p), build_control(p)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
-    psi0 = StateVector(raw / np.linalg.norm(raw), h0.basis)
+    psi0 = StateVector(raw / np.linalg.norm(raw))
     pulse = Pulse([(d, delta if on else 0.0) for d, on in segments], delta)
     forward = propagate(h0, b, pulse, psi0)
     assert abs(np.linalg.norm(forward.amplitudes) - 1.0) <= 1e-12

@@ -76,7 +76,6 @@ def spectrum_of(levels):
     w = np.asarray(levels, dtype=float)
     return Spectrum(
         params=None,
-        operator_name="planted",
         eigenvalues=w,
         eigenvectors=np.eye(len(w)),
         labels={},

@@ -60,20 +60,24 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # rule, and a spectrum at Omega = 4 omega, where the continuation's labels
 # depart from rank away from an odd resonance; then the degenerate suite at
 # omega = Omega = 1e-13, whose quadruple check reports what omega = 1 does,
-# while the stencil of step 1e-3 misses the slopes (exit 1). Last, the transfer
-# search in each regime of its block size B (periods per giant step): at
-# n_fock 16 (2N = 32) B = 1 at max_periods 3 and B = 8 at 100, B capped at 8
-# by 2N = 10 at n_fock 5 (at n_fock 4 the trusted window of one level holds
-# no path), and the n_fock 8 ladder at 10**5 periods (B = 16). Then branches
-# over a range symmetric about 0 whose steps bisect near Omega = 5 omega, both
-# signs of g sharing each mirrored chain solve, and branches over an asymmetric
-# range, whose grid stays linspace's. Then a two-edge transfer at n_fock 64
-# (B = 32, as in the benchmark), whose second edge starts from the state the
-# first edge's search iterates end on. Then a default ladder transfer at
-# n_fock 256 (2N = 512, B = 8), where pricing squarings at GEMM speed moved
-# B the furthest (from 2), so its counts guard against discrete drift. Last,
-# the degenerate suite at omega = Omega = 1e4, the large side of the quadruple
-# check's independence of omega (exit 0).
+# and whose stencil, of a step that scales with omega, meets the slopes
+# (exit 0). Then the transfer search in each regime of its block size B
+# (periods per giant step): at n_fock 16 (2N = 32) B = 1 at max_periods 3 and
+# B = 8 at 100, B capped at 8 by 2N = 10 at n_fock 5 (at n_fock 4 the trusted
+# window of one level holds no path), and the n_fock 8 ladder at 10**5 periods
+# (B = 16). Then branches over a range symmetric about 0 whose steps bisect
+# near Omega = 5 omega, both signs of g sharing each mirrored chain solve, and
+# branches over an asymmetric range, whose grid stays linspace's. Then a
+# two-edge transfer at n_fock 64 (B = 32, as in the benchmark), whose second
+# edge starts from the state the first edge's search iterates end on. Then a
+# default ladder transfer at n_fock 256 (2N = 512, B = 8), where pricing
+# squarings at GEMM speed moved B the furthest (from 2), so its counts guard
+# against discrete drift. Then the degenerate suite at omega = Omega = 1e4,
+# the large side of the quadruple check's and the stencil's independence of
+# omega (exit 0). Last, the degenerate suite at omega = 1e-13, Omega = 2 omega,
+# which a relative tie no longer takes for resonant (exit 2 naming
+# model.Omega), and at omega = Omega = 1e-6, n_fock 16, where a stencil of
+# fixed step 1e-3 missed a slope by 1.44 (exit 0).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -105,6 +109,8 @@ REFERENCE = [
     workloads.Op(
         "degenerate", {**_model(1e4, 0.0, 16, omega=1e4), "degenerate": {"window": 24}}
     ),
+    workloads.Op("degenerate", _model(2e-13, 0.0, 16, omega=1e-13)),
+    workloads.Op("degenerate", _model(1e-6, 0.0, 16, omega=1e-6)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
