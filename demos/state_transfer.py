@@ -2,9 +2,11 @@
 
 The full pipeline: diagonalize with continuation labelling, build the
 coupling graph, certify a non-resonant chain, and design a resonant
-bang-bang pulse along the witness path. The design sweep propagates exactly
-segment by segment and also yields the populations, so nothing is replayed.
-Writes populations.csv (time series of tracked level populations).
+bang-bang pulse along the witness path. Each edge's segment count is searched
+on the drive's one-period (Floquet) operator, whose iterates also give the
+populations, so nothing is stepped; the search runs on the smallest working
+truncation that a transfer on twice it confirms. Writes populations.csv (time
+series of tracked level populations).
 """
 
 import os
@@ -22,7 +24,8 @@ for source, target in [
     print(
         f"({source.n},{source.s:+d}) -> ({target.n},{target.s:+d}): "
         f"fidelity {report.fidelity:.4f}, time {report.total_time:.1f}, "
-        f"{sum(e['n_segments'] for e in report.edges)} segments"
+        f"{sum(e['n_segments'] for e in report.edges)} segments, "
+        f"searched on n_fock {report.working_n_fock} (drift {report.drift:.1e})"
     )
 
 out = os.path.join(os.path.dirname(__file__), "populations.csv")

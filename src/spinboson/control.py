@@ -18,10 +18,14 @@ saves over max_periods. The same squarings build the one row set, the path
 levels' amplitudes; the far level's column ranks the counts, and the
 populations, the edge fidelity (its far population, bit for bit) and the next
 edge's start state come from the same iterates, so a transfer steps nothing.
+A transfer between converged low levels does not need the full truncation:
+`transfer_experiment` searches on the smallest working Galerkin truncation
+that a transfer on twice it confirms, and reports that margin.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -58,8 +62,15 @@ DEFAULT_MAX_PERIODS = 2000
 DEFAULT_THRESHOLD = 0.95
 # A complex (2N)^2 GEMM's speed per flop over a GEMV's, for `_block_size`.
 # Measured 2.4-9 over 2N = 8..2048 (OpenBLAS 0.3.31 on one thread, x86-64):
-# about 5 up to 2N = 32, 2.4-2.6 at 128-256, 7-9 at 1024-2048.
+# about 5 up to 2N = 32, 2.4-2.6 at 128-256, 7-9 at 1024-2048. A transfer
+# searches on a working truncation (`_working_transfer`), so 2N >= 1024,
+# where 4 is low, is off the default path unless no truncation certifies it.
 GEMM_SPEEDUP = 4
+# The smallest working truncation a transfer searches on, and how far (in
+# fidelity and population, both dimensionless) the transfer on twice that
+# truncation may move and still certify it; see `_working_transfer`.
+GALERKIN_FLOOR = 16
+GALERKIN_TOL = 1e-9
 
 
 class TransferError(RuntimeError):
@@ -306,7 +317,10 @@ def propagate(
 
 
 def _witness_path(graph: TransitionGraph, source: int, target: int) -> list[int]:
-    """Breadth-first path from source to target over the chain witness."""
+    """Breadth-first path from source to target over the chain witness;
+    [source] when they are one level."""
+    if source == target:
+        return [source]
     if graph.chain_witness is None:
         raise TransferError("certify", "graph has no spanning chain witness")
     prev = bfs_parents(adjacency(graph.chain_witness), source)
@@ -357,18 +371,24 @@ def design_transfer(
 
 def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
     """The `TransferReport` of `design_transfer`'s pulse for these `max_periods`
-    and `threshold`. Per edge, the far level's column of `_fidelity_blocks`
-    ranks the counts a block of periods at a time; then `_replay` repeats the
-    search up to the kept count for the path levels' populations, whose last
-    far one is the edge fidelity, and the next edge's start."""
+    and `threshold`: `_sweep_path` along the witness path from source to target."""
+    path = _witness_path(graph, spectrum.level_of(source), spectrum.level_of(target))
+    return _sweep_path(spectrum, path, delta, max_periods, threshold)
+
+
+def _sweep_path(spectrum, path, delta, max_periods, threshold):
+    """The transfer along `path`, levels of `spectrum`, on that spectrum's
+    truncation. Per edge, the far level's column of `_fidelity_blocks` ranks
+    the counts a block of periods at a time; then `_replay` repeats the search
+    up to the kept count for the path levels' populations, whose last far one
+    is the edge fidelity, and the next edge's start."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
         raise TransferError("design", "spectrum carries no model parameters")
     h0, b = build_rabi(spectrum.params), build_control(spectrum.params)
-    src, tgt = spectrum.level_of(source), spectrum.level_of(target)
-    psi = spectrum.eigenvectors[:, src].astype(complex)
-    path = [src] if src == tgt else _witness_path(graph, src, tgt)
+    tgt = path[-1]
+    psi = spectrum.eigenvectors[:, path[0]].astype(complex)
     levels = sorted(path)
     level_vecs = spectrum.eigenvectors[:, levels]
 
@@ -421,22 +441,36 @@ def _sweep(spectrum, graph, source, target, delta, max_periods, threshold):
             edge_reports[-1]["saturated_below_threshold"] = True
     final = StateVector(psi)
     fidelity = final.fidelity(spectrum.eigenvectors[:, tgt].astype(complex))
+    # the weight on the untrusted levels, summed term by term so a small one
+    # does not drown in 1 - (trusted weight)
+    untrusted = _real_matvec(spectrum.eigenvectors[:, spectrum.trust_cutoff :].T, psi)
     return TransferReport(
         spectrum.params,
-        source,
-        target,
+        spectrum.labels[path[0]],
+        spectrum.labels[tgt],
         delta,
         fidelity,
         Pulse(segments, delta),
         edge_reports,
         populations,
         levels,
+        spectrum.params.n_fock,
+        float(np.sum(np.abs(untrusted) ** 2)),
     )
 
 
 @dataclass
 class TransferReport:
-    """Outcome of a full transfer experiment."""
+    """Outcome of a full transfer experiment.
+
+    The search ran on the truncation `working_n_fock`, so the populations are
+    those of its H0 eigenstates; `edges` and `tracked_levels` name levels of
+    `params.n_fock` all the same. `outside_trust` is the final state's weight
+    on that truncation's untrusted levels. `drift` is 0 when the search ran on
+    `params.n_fock`, else the largest change of an edge fidelity, a population
+    or the fidelity from the working truncation M to 2M, and each edge then
+    carries its own "drift".
+    """
 
     params: ModelParams
     source: BasisIndex
@@ -447,12 +481,18 @@ class TransferReport:
     edges: list[dict]
     populations: list[dict]
     tracked_levels: list[int]
+    working_n_fock: int
+    outside_trust: float
+    drift: float = 0.0
 
     @property
     def total_time(self) -> float:
         return self.pulse.total_duration
 
     def to_json(self) -> str:
+        margin = {"n_fock": self.working_n_fock, "outside_trust": self.outside_trust}
+        if self.working_n_fock < self.params.n_fock:
+            margin["drift"] = self.drift
         return dump_json(
             {
                 "params": self.params.to_dict(),
@@ -461,6 +501,7 @@ class TransferReport:
                 "delta": self.delta,
                 "fidelity": self.fidelity,
                 "total_time": self.total_time,
+                "galerkin": margin,
                 "edges": self.edges,
                 "tracked_levels": self.tracked_levels,
                 "populations": self.populations,
@@ -487,7 +528,10 @@ def transfer_experiment(
 ) -> TransferReport:
     """Full pipeline: diagonalize, graph, certify, design; the design sweep
     returns the report, populations included, so nothing is propagated again.
-    The default window is `default_window` cut to the trusted levels, as in the CLI.
+    The window, graph, certificate and path are params.n_fock's; the sweep
+    runs on a working truncation where one certifies it (`_working_transfer`),
+    else on params.n_fock. The default window is `default_window` cut to the
+    trusted levels, as in the CLI.
     `spectrum` is `labelled_spectrum(params)` where the caller already holds it;
     one computed at other params is a ValueError, since the transfer takes H0's
     eigenpairs from it."""
@@ -510,4 +554,88 @@ def transfer_experiment(
         raise TransferError(
             "certify", f"graph splits into {len(cert.components)} components"
         )
-    return _sweep(spectrum, graph, source, target, delta, max_periods, threshold)
+    path = _witness_path(graph, spectrum.level_of(source), spectrum.level_of(target))
+    report = _working_transfer(spectrum, path, delta, max_periods, threshold)
+    return report or _sweep_path(spectrum, path, delta, max_periods, threshold)
+
+
+def _working_sizes(n_fock: int, path: list[int]):
+    """The working truncations a transfer along `path` at `n_fock` may search
+    on, smallest first: powers of two M >= GALERKIN_FLOOR whose searches at M
+    and 2M cost less together than one at n_fock. A search's dense solves and
+    squarings are cubic in the dimension, so that is 9 M^3 < n_fock^3, which
+    also keeps 2M < n_fock: every n_fock <= 33 searches on itself. A path of
+    no edge searches nothing, so it stays on n_fock too."""
+    m = GALERKIN_FLOOR
+    while len(path) > 1 and 9 * m**3 < n_fock**3:
+        yield m
+        m *= 2
+
+
+def _working_transfer(spectrum, path, delta, max_periods, threshold):
+    """The transfer along `path`, levels of `spectrum`, searched on the
+    smallest working truncation M of `_working_sizes` that certifies it, or
+    None when none does (or a search raises `TransferError`).
+
+    The path goes to a truncation by the labels of its levels. M certifies it
+    when every path level lies within M's trusted levels and 2M's, and the
+    transfer at 2M keeps every `n_segments` and moves no edge fidelity,
+    population or the fidelity by more than GALERKIN_TOL. The report is M's,
+    with its levels mapped back to `spectrum`'s by label and its drifts to 2M.
+    """
+    params, labels = spectrum.params, [spectrum.labels[k] for k in path]
+
+    @functools.cache
+    def run(n_fock):
+        """The transfer on n_fock in `spectrum`'s levels, or None when n_fock
+        does not trust every path level."""
+        spec = labelled_spectrum(ModelParams(params.omega, params.Omega, params.g, n_fock))
+        rank = {label: k for k, label in spec.labels.items()}
+        levels = [rank.get(label, spec.dim) for label in labels]
+        if max(levels) >= spec.trust_cutoff:
+            return None
+        report = _sweep_path(spec, levels, delta, max_periods, threshold)
+        full = dict(zip(levels, path))
+        report.params = params
+        report.edges = [{**e, "edge": [full[k] for k in e["edge"]]} for e in report.edges]
+        report.tracked_levels = [full[k] for k in report.tracked_levels]
+        return report
+
+    try:
+        for m in _working_sizes(params.n_fock, path):
+            small = run(m)
+            large = None if small is None else run(2 * m)
+            drifts = None if large is None else _drifts(small, large)
+            if drifts is None:
+                continue
+            drift = max(*drifts, abs(small.fidelity - large.fidelity))
+            if drift <= GALERKIN_TOL:
+                for edge, edge_drift in zip(small.edges, drifts):
+                    edge["drift"] = edge_drift
+                small.drift = drift
+                return small
+    except TransferError:
+        pass
+    return None
+
+
+def _drifts(small: TransferReport, large: TransferReport) -> list[float] | None:
+    """Each edge's largest change of its fidelity or of a population on its
+    rows from `small` to `large`, transfers along the same levels; None when
+    they track other levels or keep another `n_segments` on some edge."""
+    counts = [e["n_segments"] for e in small.edges]
+    if (small.tracked_levels, counts) != (
+        large.tracked_levels,
+        [e["n_segments"] for e in large.edges],
+    ):
+        return None
+    width = len(small.tracked_levels)
+    change = np.abs(
+        np.reshape([r["p"] for r in small.populations], (-1, width))
+        - np.reshape([r["p"] for r in large.populations], (-1, width))
+    )
+    per_edge = np.split(change, np.cumsum(counts)[:-1])
+    return [
+        max(abs(a["fidelity"] - b["fidelity"]), float(rows.max(initial=0.0)))
+        for a, b, rows in zip(small.edges, large.edges, per_edge)
+    ]

@@ -142,7 +142,7 @@ def e_series_fit(
     grid = branch.g_grid
     if len(grid) < degree + 3:
         raise ValueError(f"need at least {degree + 3} grid points, have {len(grid)}")
-    if np.max(np.abs(grid + grid[::-1])) > 1e-14 * max(1.0, np.max(np.abs(grid))):
+    if np.max(np.abs(grid + grid[::-1])) > 1e-14 * np.max(np.abs(grid)):
         raise ValueError("branch grid must be symmetric about g = 0")
     scale = float(np.max(np.abs(grid)))
     if scale == 0:

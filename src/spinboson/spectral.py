@@ -199,8 +199,10 @@ class Spectrum:
 
 
 def _check_residuals(residual: np.ndarray, w: np.ndarray) -> None:
-    """Residual bound on the norms |H v_i - w_i v_i| of the eigenpairs (w, v)."""
-    scale = max(1.0, float(np.max(np.abs(w))))
+    """Residual bound on the norms |H v_i - w_i v_i| of the eigenpairs (w, v),
+    relative to max|w| = |H|_2 of the symmetric H solved, so that it does not
+    depend on the unit of energy."""
+    scale = float(np.max(np.abs(w)))
     if np.max(residual) > RESIDUAL_TOL * scale:
         raise SolverError(
             f"eigenpair residual {np.max(residual):.3e} exceeds {RESIDUAL_TOL * scale:.3e}"
@@ -354,8 +356,10 @@ class BranchFamily:
         return self.labels.index(label)
 
     def grid_index(self, g: float) -> int:
+        """The index of grid point g, matched to 1e-14 of the grid's largest |g|."""
         idx = int(np.argmin(np.abs(self.g_grid - g)))
-        if not math.isclose(self.g_grid[idx], g, rel_tol=0, abs_tol=1e-14):
+        tol = 1e-14 * float(np.max(np.abs(self.g_grid)))
+        if not math.isclose(self.g_grid[idx], g, rel_tol=0, abs_tol=tol):
             raise KeyError(f"g={g} is not a grid point")
         return idx
 

@@ -16,7 +16,8 @@ their drift; a discrete field (a JSON int, bool, str or null, a CSV cell
 that is not a number) must be equal. Exits 1 when the runs of an
 operation end with different exit codes, a head repeat differs, the trees
 write different sets of files, a file's structure differs or a discrete
-field differs, else 0.
+field differs, else 0. Where the structures differ, the fields that the two
+files hold equally often are still compared, and the others are named.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,10 +76,13 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # squarings at GEMM speed moved B the furthest (from 2), so its counts guard
 # against discrete drift. Then the degenerate suite at omega = Omega = 1e4,
 # the large side of the quadruple check's and the stencil's independence of
-# omega (exit 0). Last, the degenerate suite at omega = 1e-13, Omega = 2 omega,
+# omega (exit 0). Then the degenerate suite at omega = 1e-13, Omega = 2 omega,
 # which a relative tie no longer takes for resonant (exit 2 naming
 # model.Omega), and at omega = Omega = 1e-6, n_fock 16, where a stencil of
-# fixed step 1e-3 missed a slope by 1.44 (exit 0).
+# fixed step 1e-3 missed a slope by 1.44 (exit 0). Last, cross-spin transfers
+# on either side of the working-truncation boundary: n_fock 32 and 33 search
+# on themselves, and 34, the first n_fock with 9 * 16^3 < n_fock^3, searches
+# on 16 and checks it on 32.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -111,6 +116,7 @@ REFERENCE = [
     ),
     workloads.Op("degenerate", _model(2e-13, 0.0, 16, omega=1e-13)),
     workloads.Op("degenerate", _model(1e-6, 0.0, 16, omega=1e-6)),
+    *(_transfer(_model(1.05, 0.2, n), {"n": 0, "s": 1}) for n in (32, 33, 34)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
@@ -166,8 +172,13 @@ def compare_file(base: Path, head: Path) -> tuple[bool, list[str]]:
     if base.read_bytes() == head.read_bytes():
         return True, ["bytes equal"]
     a, b = flatten(base), flatten(head)
-    if [k for k, _ in a] != [k for k, _ in b]:
-        return False, ["bytes differ; structure DIFFERS"]
+    same_structure = [k for k, _ in a] == [k for k, _ in b]
+    if not same_structure:
+        # compare the fields both files hold the same number of times, in order
+        counts = [Counter(k for k, _ in pairs) for pairs in (a, b)]
+        shared = {k for k in counts[0] if counts[0][k] == counts[1][k]}
+        moved = sorted((set(counts[0]) | set(counts[1])) - shared)
+        a, b = ([(k, v) for k, v in pairs if k in shared] for pairs in (a, b))
     fields: dict[str, list] = {}
     for (key, x), (_, y) in zip(a, b):
         # count, max diff, flips, max diff of magnitudes, mismatches
@@ -179,7 +190,7 @@ def compare_file(base: Path, head: Path) -> tuple[bool, list[str]]:
             stat[3] = max(stat[3], abs(abs(x) - abs(y)))
         elif x != y:
             stat[4] += 1
-    lines = ["bytes differ"]
+    lines = ["bytes differ" if same_structure else f"bytes differ; structure DIFFERS in {moved}"]
     for key, (n, diff, flips, mag_diff, mismatches) in fields.items():
         if diff or flips or mismatches:
             lines.append(
@@ -192,7 +203,7 @@ def compare_file(base: Path, head: Path) -> tuple[bool, list[str]]:
     same_design = not any(m for *_, m in fields.values())
     if not same_design:
         lines[0] += "; discrete fields DIFFER"
-    return same_design, lines
+    return same_structure and same_design, lines
 
 
 def main(argv: list[str] | None = None) -> int:
