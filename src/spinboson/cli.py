@@ -363,7 +363,8 @@ def cmd_transfer(cfg: dict) -> int:
     )
     atomic_write(_out(cfg, "transfer.json"), report.to_json())
     report.populations_to_csv(_out(cfg, "populations.csv"))
-    # a pass must hold on the truncation the search ran on and on twice it
+    # a pass must hold beyond the working truncation's change to twice it
+    # and the search's rounding
     return EXIT_OK if report.fidelity - report.drift >= threshold else EXIT_CERTIFICATION
 
 

@@ -71,6 +71,15 @@ GEMM_SPEEDUP = 4
 # truncation may move and still certify it; see `_working_transfer`.
 GALERKIN_FLOOR = 16
 GALERKIN_TOL = 1e-9
+# How far a search's fidelities and populations may sit from the exact ones
+# of its truncation after n half-periods: FLOOR + PER_SEGMENT * n, the bound
+# `tests/test_transfer_precision.py` checks against a 30-digit reference
+# (the iterates apply one rounded period operator, so their error adds up).
+# Against that reference a search at M = 16 was off by up to 1.0e-15 per
+# segment and one at n_fock 72 by 3.7e-15, so a working truncation's drift
+# takes the bound twice (`_rounding`): once for each search.
+ROUNDING_FLOOR = 1e-14
+ROUNDING_PER_SEGMENT = 2e-15
 
 
 class TransferError(RuntimeError):
@@ -467,9 +476,14 @@ class TransferReport:
     those of its H0 eigenstates; `edges` and `tracked_levels` name levels of
     `params.n_fock` all the same. `outside_trust` is the final state's weight
     on that truncation's untrusted levels. `drift` is 0 when the search ran on
-    `params.n_fock`, else the largest change of an edge fidelity, a population
-    or the fidelity from the working truncation M to 2M, and each edge then
-    carries its own "drift".
+    `params.n_fock`. Else it is the largest change of an edge fidelity, a
+    population or the fidelity from the working truncation M to 2M, plus
+    `_rounding` at the last segment, and each edge then carries its own
+    "drift" to its last segment: how far the figures may sit from those of
+    the search on `params.n_fock` itself. It covers fidelities and
+    populations only: the pulse's half-periods come from M's spectrum, so the
+    times can move by more, up to the segment count times the half-period's
+    change from M to n_fock.
     """
 
     params: ModelParams
@@ -561,13 +575,17 @@ def transfer_experiment(
 
 def _working_sizes(n_fock: int, path: list[int]):
     """The working truncations a transfer along `path` at `n_fock` may search
-    on, smallest first: powers of two M >= GALERKIN_FLOOR whose searches at M
-    and 2M cost less together than one at n_fock. A search's dense solves and
-    squarings are cubic in the dimension, so that is 9 M^3 < n_fock^3, which
-    also keeps 2M < n_fock: every n_fock <= 33 searches on itself. A path of
-    no edge searches nothing, so it stays on n_fock too."""
+    on, smallest first: powers of two M >= GALERKIN_FLOOR with 4 M <= n_fock.
+    The dense solves and squarings of the searches at M and 2M take 9 M^3
+    against n_fock^3 for one at n_fock, but each also carries a few ms that do
+    not shrink with the dimension (the labelled spectrum with its trust scan,
+    the pulse, the population rows). Timed on the benchmark's transfers, the
+    two searches at M = 16 beat one at n_fock from n_fock ~56-60 on (shared
+    2-vCPU x86-64, OpenBLAS on one thread), hence 4 M: every n_fock <= 63
+    searches on itself. A path of no edge searches nothing, so it stays on
+    n_fock too."""
     m = GALERKIN_FLOOR
-    while len(path) > 1 and 9 * m**3 < n_fock**3:
+    while len(path) > 1 and 4 * m <= n_fock:
         yield m
         m *= 2
 
@@ -581,7 +599,8 @@ def _working_transfer(spectrum, path, delta, max_periods, threshold):
     when every path level lies within M's trusted levels and 2M's, and the
     transfer at 2M keeps every `n_segments` and moves no edge fidelity,
     population or the fidelity by more than GALERKIN_TOL. The report is M's,
-    with its levels mapped back to `spectrum`'s by label and its drifts to 2M.
+    with its levels mapped back to `spectrum`'s by label, and its drifts are
+    the changes to 2M plus `_rounding` of the segments up to there.
     """
     params, labels = spectrum.params, [spectrum.labels[k] for k in path]
 
@@ -608,11 +627,12 @@ def _working_transfer(spectrum, path, delta, max_periods, threshold):
             drifts = None if large is None else _drifts(small, large)
             if drifts is None:
                 continue
-            drift = max(*drifts, abs(small.fidelity - large.fidelity))
-            if drift <= GALERKIN_TOL:
-                for edge, edge_drift in zip(small.edges, drifts):
-                    edge["drift"] = edge_drift
-                small.drift = drift
+            change = max(*drifts, abs(small.fidelity - large.fidelity))
+            if change <= GALERKIN_TOL:
+                ends = np.cumsum([e["n_segments"] for e in small.edges]).tolist()
+                for edge, edge_drift, end in zip(small.edges, drifts, ends):
+                    edge["drift"] = edge_drift + _rounding(end)
+                small.drift = change + _rounding(ends[-1])
                 return small
     except TransferError:
         pass
@@ -639,3 +659,9 @@ def _drifts(small: TransferReport, large: TransferReport) -> list[float] | None:
         max(abs(a["fidelity"] - b["fidelity"]), float(rows.max(initial=0.0)))
         for a, b, rows in zip(small.edges, large.edges, per_edge)
     ]
+
+
+def _rounding(segments: int) -> float:
+    """The rounding a search on a working truncation and the search on
+    n_fock may add up to after `segments` half-periods: each one's bound."""
+    return 2 * (ROUNDING_FLOOR + ROUNDING_PER_SEGMENT * segments)

@@ -2,10 +2,11 @@
 
 `transfer_experiment` keeps the full-N spectrum, window, graph and witness
 path, but searches each transfer on the smallest working truncation M (a
-power of two >= 16 with 9 M^3 < n_fock^3) whose transfer at 2M keeps every
+power of two >= 16 with 4 M <= n_fock) whose transfer at 2M keeps every
 `n_segments` and moves no fidelity or population beyond GALERKIN_TOL. The
 report keeps full-N level indices and carries the truncation margin: the
-working n_fock, the M-to-2M drift and the final weight outside trust.
+working n_fock, the drift (the M-to-2M change plus the search's rounding
+bound) and the final weight outside trust.
 """
 
 import json
@@ -34,7 +35,7 @@ from spinboson import control  # noqa: E402
 from spinboson.cli import EXIT_CERTIFICATION, EXIT_OK, main  # noqa: E402
 from spinboson.control import labelled_spectrum  # noqa: E402
 from spinboson.spectral import default_window  # noqa: E402
-from test_transfer_iterates import TARGETS, iterate_tol  # noqa: E402
+from test_transfer_iterates import TARGETS  # noqa: E402
 
 SOURCE = BasisIndex(0, -1)
 
@@ -54,9 +55,15 @@ def populations(report):
     )
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+def edge_rows(report, k):
+    """The population rows of edge k: one per segment."""
+    ends = np.cumsum([0] + [edge["n_segments"] for edge in report.edges])
+    return slice(ends[k], ends[k + 1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    n_fock=st.integers(33, 64),
+    n_fock=st.integers(33, 128),
     Omega=st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0)),
     g=st.one_of(st.floats(-0.5, -0.01), st.floats(0.01, 0.5)),
     delta=st.floats(0.005, 0.1),
@@ -67,7 +74,7 @@ def test_working_transfer_equals_the_direct_one(
     n_fock, Omega, g, delta, target, max_periods
 ):
     # equal designs and level indices; fidelities and populations within the
-    # reported drift, plus the rounding of the direct search's own iterates
+    # reported drift
     params = ModelParams(1.0, Omega, g, n_fock)
     spec = labelled_spectrum(params)
     try:
@@ -96,15 +103,14 @@ def test_working_transfer_equals_the_direct_one(
     assert report.working_n_fock < n_fock and margin["drift"] == report.drift
     assert report.drift <= control.GALERKIN_TOL
     assert report.drift >= max(e["drift"] for e in report.edges)
-    tol = report.drift + iterate_tol(sum(e["n_segments"] for e in report.edges))
-    assert abs(report.fidelity - reference.fidelity) <= tol
-    for mine, theirs in zip(report.edges, reference.edges):
-        assert abs(mine["fidelity"] - theirs["fidelity"]) <= tol
-    if report.populations:
-        assert np.max(np.abs(populations(report) - populations(reference))) <= tol
+    assert abs(report.fidelity - reference.fidelity) <= report.drift
+    rows = np.abs(populations(report) - populations(reference))
+    for k, (mine, theirs) in enumerate(zip(report.edges, reference.edges)):
+        assert abs(mine["fidelity"] - theirs["fidelity"]) <= mine["drift"]
+        assert np.all(rows[edge_rows(report, k)] <= mine["drift"])
 
 
-@pytest.mark.parametrize("n_fock", [5, 8, 16, 24, 32, 33])
+@pytest.mark.parametrize("n_fock", [5, 8, 16, 24, 32, 33, 48, 63])
 def test_small_truncations_search_on_themselves(n_fock):
     params = ModelParams(1.0, 1.05, 0.2, n_fock)
     report = transfer_experiment(params, SOURCE, BasisIndex(1, -1), 0.02, window=2)
@@ -116,10 +122,10 @@ def test_small_truncations_search_on_themselves(n_fock):
 
 
 def test_working_sizes_follow_the_cost_rule():
-    # (2M)^3 + (4M)^3 < (2 n_fock)^3, M a power of two from 16
-    assert list(control._working_sizes(34, [0, 1])) == [16]
-    assert list(control._working_sizes(66, [0, 1])) == [16]
-    assert list(control._working_sizes(67, [0, 1])) == [16, 32]
+    # 4 M <= n_fock, M a power of two from 16
+    assert list(control._working_sizes(63, [0, 1])) == []
+    assert list(control._working_sizes(64, [0, 1])) == [16]
+    assert list(control._working_sizes(127, [0, 1])) == [16]
     assert list(control._working_sizes(128, [0, 1])) == [16, 32]
     assert list(control._working_sizes(1024, [0, 1])) == [16, 32, 64, 128, 256]
     assert list(control._working_sizes(1024, [0])) == []
@@ -131,7 +137,9 @@ def test_benchmark_transfers_run_on_sixteen(n_fock, target):
     params = ModelParams(1.0, 1.05, 0.2, n_fock)
     report = transfer_experiment(params, SOURCE, target, 0.02)
     assert report.working_n_fock == 16
-    assert 0 < report.drift <= 1e-12
+    # the change to 32 is within 1e-12; the rest is the search's rounding
+    ends = np.cumsum([edge["n_segments"] for edge in report.edges])
+    assert 0 < report.drift - control._rounding(ends[-1]) <= 1e-12
     assert report.outside_trust < 1e-20
     margin = json.loads(report.to_json())["galerkin"]
     assert margin == {
@@ -139,11 +147,12 @@ def test_benchmark_transfers_run_on_sixteen(n_fock, target):
         "outside_trust": report.outside_trust,
         "drift": report.drift,
     }
-    assert all(0 <= edge["drift"] <= report.drift for edge in report.edges)
+    for edge, end in zip(report.edges, ends):
+        assert control._rounding(end) <= edge["drift"] <= report.drift
 
 
 def test_uncertified_candidates_fall_back_to_n_fock(monkeypatch):
-    params = ModelParams(1.0, 1.05, 0.2, 40)
+    params = ModelParams(1.0, 1.05, 0.2, 64)
     spec = labelled_spectrum(params)
     reference = direct(params, BasisIndex(1, -1), 0.02, 300, spec)
 
@@ -229,7 +238,7 @@ def write(tmp_path, model, transfer):
 def test_pass_must_hold_beyond_its_drift(tmp_path, monkeypatch):
     # a threshold between fidelity - drift and fidelity fails the pass
     monkeypatch.chdir(tmp_path)
-    params = ModelParams(1.0, 1.05, 0.2, 34)
+    params = ModelParams(1.0, 1.05, 0.2, 64)
     report = transfer_experiment(params, SOURCE, BasisIndex(1, -1), 0.02)
     assert report.working_n_fock == 16 and report.drift > 0
     spec = {"source": {"n": 0, "s": -1}, "target": {"n": 1, "s": -1}, "delta": 0.02}

@@ -80,9 +80,9 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # which a relative tie no longer takes for resonant (exit 2 naming
 # model.Omega), and at omega = Omega = 1e-6, n_fock 16, where a stencil of
 # fixed step 1e-3 missed a slope by 1.44 (exit 0). Last, cross-spin transfers
-# on either side of the working-truncation boundary: n_fock 32 and 33 search
-# on themselves, and 34, the first n_fock with 9 * 16^3 < n_fock^3, searches
-# on 16 and checks it on 32.
+# on either side of the working-truncation boundary: n_fock 32 and 63 search
+# on themselves, and 64, the first n_fock with 4 * 16 <= n_fock, searches on
+# 16 and checks it on 32.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -116,7 +116,7 @@ REFERENCE = [
     ),
     workloads.Op("degenerate", _model(2e-13, 0.0, 16, omega=1e-13)),
     workloads.Op("degenerate", _model(1e-6, 0.0, 16, omega=1e-6)),
-    *(_transfer(_model(1.05, 0.2, n), {"n": 0, "s": 1}) for n in (32, 33, 34)),
+    *(_transfer(_model(1.05, 0.2, n), {"n": 0, "s": 1}) for n in (32, 63, 64)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
