@@ -292,13 +292,15 @@ def _g_samples(cfg: dict) -> list[float]:
     return [float(g) for g in np.linspace(lo, hi, n)]
 
 
-def _window(cfg: dict, key: str, default: int, trust: int, g: float) -> int:
-    """The window under `key`, else `default` cut to `trust`; refused outside 1..trust."""
-    window = min(default, trust) if cfg[key] is None else cfg[key]
-    if not 1 <= window <= trust:
+def _window(cfg: dict, key: str, default: int, spec: spectral.Spectrum, g: float) -> int:
+    """The window under `key`, else `default` cut to the levels `spec` trusts;
+    refused outside 1..trust. The count of trusted levels is read (and the
+    convergence scan run) only for the cut and the refusal."""
+    window = spec.trusted_window(default) if cfg[key] is None else cfg[key]
+    if window < 1 or not spec.trusts(window):
         raise ConfigError(
-            f"key {key!r}: window {window} must be >= 1 and within the {trust} "
-            f"levels the convergence scan trusts at g = {g}"
+            f"key {key!r}: window {window} must be >= 1 and within the "
+            f"{spec.trust_cutoff} levels the convergence scan trusts at g = {g}"
         )
     return window
 
@@ -308,7 +310,7 @@ def cmd_resonance(cfg: dict) -> int:
     clean = True
     for g in _g_samples(cfg):
         spec = spectral.rabi_spectrum(cfg["model"].with_g(g))
-        window = _window(cfg, "resonance.window", 12, spec.trust_cutoff, g)
+        window = _window(cfg, "resonance.window", 12, spec, g)
         scan = resonance.numeric_resonance_scan(spec, window, cfg["resonance.tol"])
         clean = clean and not scan.filtered
         reports.append({"g": g, "report": scan.to_dict()})
@@ -323,7 +325,7 @@ def cmd_chain(cfg: dict) -> int:
     model = cfg["model"]
     spec = spectral.labelled_spectrum(model)
     default = spectral.default_window(model.n_fock)
-    window = _window(cfg, "resonance.window", default, spec.trust_cutoff, model.g)
+    window = _window(cfg, "resonance.window", default, spec, model.g)
     graph = resonance.coupling_graph(
         spec,
         build_control(model),
@@ -347,9 +349,9 @@ def cmd_transfer(cfg: dict) -> int:
                 f"key {key!r} names {cfg[key]}, outside n_fock = {model.n_fock}"
             )
     default = spectral.default_window(model.n_fock)
-    # one trust scan: the window is checked against the spectrum the transfer uses
+    # the window is checked against the spectrum the transfer uses
     spectrum = control.labelled_spectrum(model)
-    window = _window(cfg, "transfer.window", default, spectrum.trust_cutoff, model.g)
+    window = _window(cfg, "transfer.window", default, spectrum, model.g)
     threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
         model,

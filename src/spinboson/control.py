@@ -558,7 +558,7 @@ def transfer_experiment(
     elif spectrum.params != params:
         raise ValueError(f"spectrum is computed at {spectrum.params}, not at params {params}")
     if window is None:
-        window = min(default_window(params.n_fock), spectrum.trust_cutoff)
+        window = spectrum.trusted_window(default_window(params.n_fock))
     try:
         graph = coupling_graph(spectrum, build_control(params), window=window)
     except ValueError as exc:

@@ -154,7 +154,7 @@ def numeric_resonance_scan(
         raise ValueError(f"window {window} must be >= 1")
     if window > spectrum.dim:
         raise ValueError(f"window {window} exceeds the dimension {spectrum.dim}")
-    if window > spectrum.trust_cutoff:
+    if not spectrum.trusts(window):
         raise ValueError(
             f"window {window} exceeds trust cutoff {spectrum.trust_cutoff}"
         )

@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+TRUST_TOL = 1e-8  # eigenvalue drift from N to 2N below which a level is trusted
 AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
 OVERLAP_FLOOR = 0.8  # continuation overlap below which a step is matched or bisected
@@ -128,11 +129,15 @@ _flapack = _load_flapack()
 
 
 def _check_info(info: int, driver: str) -> None:
-    """Raise on a LAPACK info code as scipy.linalg does."""
+    """Raise on a LAPACK info code: an illegal argument is a ValueError, as
+    scipy.linalg raises it, and a solve that did not converge a SolverError
+    whose cause is scipy.linalg's LinAlgError, so it is never taken for bad
+    input."""
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal {driver}")
     if info > 0:
-        raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
+        message = f"{driver} did not converge (LAPACK info={info})"
+        raise SolverError(message) from np.linalg.LinAlgError(message)
 
 
 def _chain(d, e) -> tuple[np.ndarray, np.ndarray]:
@@ -167,22 +172,74 @@ def eigvalsh_tridiagonal(d, e, top: bool = False) -> np.ndarray:
         w, _, info = _flapack.dstevd(d, e, compute_v=0)
         _check_info(info, "stevd (eigh_tridiagonal)")
         return w
-    n = len(d)
-    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, n, n, 0.0, "E")
+    return _bisect(d, e, len(d) - 1)
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> np.ndarray:
+    """The eigenvalue of the chain (d, e) of `index` (from 0, ascending), by
+    dstebz with scipy.linalg's arguments for select="i" at (index, index)."""
+    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "E")
     _check_info(info, "stebz (eigh_tridiagonal)")
     return w[:m]
 
 
-@dataclass
 class Spectrum:
-    """Eigenpairs of one operator at one parameter point."""
+    """Eigenpairs of one operator at one parameter point.
 
-    params: ModelParams | None
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    labels: dict[int, BasisIndex]
-    ambiguous: list[int]
-    trust_cutoff: int
+    `trust_cutoff` counts the levels that the convergence scan at [N, 2N]
+    trusts at params (`trusted_levels`). A count given to the constructor or
+    assigned stands; else the scan runs when the count is first read, once.
+    `trusts(w)` asks only whether levels 0..w-1 are trusted. A spectrum of
+    H_Rabi from its chain solves knows the chain of each level (`chains`, 0 or
+    1 as `_chains` numbers them) and answers that by the padded-residual
+    certificate (`_padded_certificate`) where it suffices, caching the widest
+    window it has certified; where it declines, the count decides, and once
+    the count is known it decides alone.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams | None,
+        eigenvalues: np.ndarray,
+        eigenvectors: np.ndarray,
+        labels: dict[int, BasisIndex],
+        ambiguous: list[int],
+        trust_cutoff: int | None = None,
+        chains: np.ndarray | None = None,
+    ):
+        self.params = params
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+        self.labels = labels
+        self.ambiguous = ambiguous
+        self.chains = chains
+        self._trust_cutoff = trust_cutoff
+        self._certified = 0  # the widest window the certificate has accepted
+
+    @property
+    def trust_cutoff(self) -> int:
+        if self._trust_cutoff is None:
+            self._trust_cutoff = trusted_levels(self.params)
+        return self._trust_cutoff
+
+    @trust_cutoff.setter
+    def trust_cutoff(self, count: int) -> None:
+        self._trust_cutoff = count
+
+    def trusts(self, window: int) -> bool:
+        """Whether levels 0..window-1 are all trusted."""
+        if self._trust_cutoff is None and self.chains is not None:
+            if window <= self._certified:
+                return True
+            if _padded_certificate(self, window):
+                self._certified = window
+                return True
+        return window <= self.trust_cutoff
+
+    def trusted_window(self, window: int) -> int:
+        """`window` cut to the trusted levels, reading their count only when
+        they are fewer."""
+        return window if self.trusts(window) else self.trust_cutoff
 
     @property
     def dim(self) -> int:
@@ -252,6 +309,76 @@ def _enclosure_bound(
     return max(float(np.max(np.abs(nsq - 1))) + n * eps * top, top * (s1 + s2 + s1 * s2))
 
 
+def _padded_certificate(spectrum: Spectrum, window: int) -> bool:
+    """Whether the padded residuals of the lowest `window` levels of an H_Rabi
+    spectrum from its chain solves prove that the convergence scan at [N, 2N]
+    (`trusted_levels`) trusts them all; False where they do not suffice.
+    O(N window), plus one dstebz bisection per chain of H_2N.
+
+    A chain T_N of H_N is the leading N x N block of the same chain T_2N of
+    H_2N, entry for entry. Pad a level's eigenvector v_k (eigenvalue theta_k)
+    with zeros: its residual in T_2N is its residual in T_N plus one entry
+    c v_k[N-1] on photon N, where c = |g| sqrt(N/2) joins photon N-1 to N. So
+    by Kato's bound the interval of radius
+        r_k = sqrt(|H_N v_k - theta_k v_k|^2 + (c v_k[N-1])^2) / |v_k|
+    about theta_k holds an eigenvalue of T_2N. r_k takes the residual and norm
+    as computed, times 1 + (N + 8) eps, plus `_enclosure_bound`'s slack
+    4 eps (S_2N + max|theta|), S_2N = max|d| + 2 max|e| of T_2N, for the
+    rounding of the residual entries (sums of four products) and of the
+    interval ends.
+
+    Let m_c of the window's levels lie in chain c. If their intervals are
+    pairwise disjoint, they hold m_c distinct eigenvalues of T_2N, none above
+    theta_(w-1) + rho, rho = max r_k. If dstebz puts T_2N's eigenvalue of index
+    m_c above that, those are its lowest m_c, in order. Over both chains they
+    are then the lowest w levels of H_2N, one within r_k of each theta_k, so
+    the sorted ones lie within rho of the sorted thetas, level by level.
+
+    The scan compares eigenvalue-only LAPACK solves. A LAPACK eigenvalue of a
+    chain of n rows is taken to lie within n eps S_n of exact, S_n = max|d| +
+    2 max|e| >= |T_n|_2 (S_N <= S_2N): the p(n) eps |T| bound of a backward
+    stable solver with p(n) = n. The vector solve's theta_k and the scan's
+    value at N then differ by at most 2 N eps S_N, and the scan's value at 2N
+    lies within 2 N eps S_2N of the exact level, so each drift the scan
+    computes for k < w is at most rho + 4 N eps S_2N, times 1 + eps for its
+    subtraction. Where that is at most TRUST_TOL, the scan trusts all w
+    levels. dstebz's value gets the same 2 N eps S_2N, doubled for the
+    comparison.
+    """
+    params = spectrum.params
+    n = params.n_fock
+    if window > spectrum.dim:
+        return False
+    eps = np.finfo(float).eps
+    theta, chains = spectrum.eigenvalues[:window], spectrum.chains[:window]
+    # T_2N's chains, whose first N rows and N - 1 couplings are T_N's
+    d2, c2 = rabi_bands(ModelParams(params.omega, params.Omega, params.g, 2 * n))
+    c, edge = c2[: n - 1, None], abs(c2[n - 1])
+    scale = np.max(np.abs(d2)) + 2 * np.max(np.abs(c2))
+    radius = np.empty(window)
+    for chain, rows in enumerate(_chains(2 * n)):
+        mine = chains == chain
+        u = spectrum.eigenvectors[np.ix_(rows[:n], np.flatnonzero(mine))]
+        r = u * d2[rows[:n], None]
+        r[:-1] += c * u[1:]
+        r[1:] += c * u[:-1]
+        r -= u * theta[mine]
+        radius[mine] = np.sqrt(
+            (np.einsum("ij,ij->j", r, r) + (edge * u[-1]) ** 2) / np.einsum("ij,ij->j", u, u)
+        )
+    radius = (radius + 4 * eps * (scale + np.max(np.abs(theta)))) * (1 + (n + 8) * eps)
+    rho = float(np.max(radius))
+    if (rho + 4 * n * eps * scale) * (1 + eps) > TRUST_TOL:
+        return False
+    top = theta[-1] + rho + 4 * n * eps * scale
+    for chain, rows in enumerate(_chains(2 * n)):
+        mine = chains == chain
+        lo, hi = theta[mine] - radius[mine], theta[mine] + radius[mine]
+        if np.any(lo[1:] <= hi[:-1]) or _bisect(d2[rows], c2, int(np.sum(mine)))[0] <= top:
+            return False
+    return True
+
+
 def _attach_labels(
     v: np.ndarray, basis: list[BasisIndex]
 ) -> tuple[dict[int, BasisIndex], list[int]]:
@@ -295,7 +422,8 @@ def control_norm(n_fock: int) -> float:
 
 
 def trusted_levels(params: ModelParams) -> int:
-    """Levels of H_Rabi at params.g that the convergence scan at [N, 2N] trusts."""
+    """Levels of H_Rabi at params.g that the convergence scan at [N, 2N] trusts:
+    the reference that `Spectrum.trusts` reproduces."""
     return convergence_scan(params, [params.n_fock, 2 * params.n_fock]).trust_cutoff
 
 
@@ -470,16 +598,22 @@ def _placed(vecs: list[np.ndarray], src: np.ndarray, signs=None, mirror: bool = 
 def _rabi_at(params: ModelParams, w, vecs, src, labels, signs=None, mirror=False) -> Spectrum:
     """H_Rabi at params.g from the chain solves (w, vecs), stably sorted ascending
     in the order of src: item b is eigenpair src[b] as `_placed` forms it,
-    labelled labels[b] unless labels is None, trusted per `trusted_levels`."""
+    labelled labels[b] unless labels is None. Each level keeps its chain, the
+    one whose row (n, s) = src[b] its solve index names (linear index 2n +
+    slot with slot = (n + chain) % 2), so that a window's trust is decided by
+    `_padded_certificate` and the scan at [N, 2N] runs only where the count
+    is read (see `Spectrum`)."""
     order = np.argsort(w[src], kind="stable")
     ranked = src[order]
     v = _placed(vecs, ranked, None if signs is None else signs[order], mirror)
     by_rank = {} if labels is None else dict(enumerate(labels[b] for b in order.tolist()))
-    return Spectrum(params, w[ranked], v, by_rank, [], trusted_levels(params))
+    return Spectrum(params, w[ranked], v, by_rank, [], chains=(ranked - ranked // 2) % 2)
 
 
 def rabi_spectrum(params: ModelParams) -> Spectrum:
-    """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains."""
+    """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains.
+    Its trust is decided window by window (`Spectrum.trusts`); the scan at
+    [N, 2N] runs only if `trust_cutoff` is read."""
     return _rabi_at(params, *_chain_eigenpairs(params), np.arange(params.dim), None)
 
 
@@ -597,7 +731,9 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
     Else a chain's branches never cross, so unless a chain is `near_tied`,
     each chain's r-th eigenpair from one solve takes the label of its r-th
     bare level, in the seed order of `track_branches`, and the solver's
-    signs; near a tie, labels and signs are carried by continuation.
+    signs; near a tie, labels and signs are carried by continuation. As for
+    `rabi_spectrum`, a window's trust is decided by `Spectrum.trusts`, and the
+    scan at [N, 2N] runs only if `trust_cutoff` is read.
     """
     energies, _ = rabi_bands(params)
     if params.g == 0:
@@ -689,7 +825,7 @@ class ConvergenceReport:
 
 
 def convergence_scan(
-    params: ModelParams, sizes, tol: float = 1e-8
+    params: ModelParams, sizes, tol: float = TRUST_TOL
 ) -> ConvergenceReport:
     """Galerkin trust certification: eigenvalue drift across truncation sizes."""
     sizes = [int(n) for n in sizes]

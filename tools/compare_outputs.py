@@ -82,7 +82,12 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # fixed step 1e-3 missed a slope by 1.44 (exit 0). Last, cross-spin transfers
 # on either side of the working-truncation boundary: n_fock 32 and 63 search
 # on themselves, and 64, the first n_fock with 4 * 16 <= n_fock, searches on
-# 16 and checks it on 32.
+# 16 and checks it on 32. Then window checks that the padded-residual
+# certificate declines, so that the convergence scan decides them: a chain at
+# omega = 2**20 (Omega and g scaled), where the bound on the scan's rounding
+# exceeds its tol; a chain at n_fock 16, g = 2, whose scan trusts 2 levels, so
+# the default window of 4 is cut to them; and a resonance window of 60 at
+# n_fock 32, beyond the 52 levels trusted there (exit 2 naming them).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -117,6 +122,11 @@ REFERENCE = [
     workloads.Op("degenerate", _model(2e-13, 0.0, 16, omega=1e-13)),
     workloads.Op("degenerate", _model(1e-6, 0.0, 16, omega=1e-6)),
     *(_transfer(_model(1.05, 0.2, n), {"n": 0, "s": 1}) for n in (32, 63, 64)),
+    workloads.Op("chain", _model(1.05 * 2**20, 0.2 * 2**20, 64, omega=2.0**20)),
+    workloads.Op("chain", _model(1.05, 2.0, 16)),
+    workloads.Op(
+        "resonance", {**_model(1.05, 0.2, 32), "resonance": {"window": 60, "g_samples": [0.2]}}
+    ),
 ]
 SETS = (*workloads.NAMES, "reference")
 
