@@ -18,7 +18,14 @@ import numpy as np
 
 from . import control, perturbation, resonance, spectral
 from ._io import atomic_write, dump_json, write_csv
-from .fockmodel import BasisIndex, ModelParams, build_control, build_interaction, tied
+from .fockmodel import (
+    BasisIndex,
+    ModelParams,
+    bare_energy,
+    build_control,
+    build_interaction,
+    tied,
+)
 from .spectral import GridRefinementError, SolverError
 
 EXIT_OK = 0
@@ -56,7 +63,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "transfer.threshold": ("float", control.DEFAULT_THRESHOLD),
     "transfer.window": ("int", None),
     "convergence.sizes": ("list[int]", (32, 64, 128)),
-    "convergence.tol": ("float", 1e-8),
+    "convergence.tol": ("float", spectral.TRUST_TOL),
     "perturb.window": ("float", perturbation.FIT_WINDOW),
     "perturb.n_points": ("int", perturbation.FIT_POINTS),
     "perturb.degree": ("int", perturbation.FIT_DEGREE),
@@ -197,7 +204,29 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
         values["model"] = ModelParams(*model)
     except ValueError as exc:
         raise ConfigError(f"key 'model': {exc}") from None
+    if command != "convergence":  # `cmd_convergence` checks its own sizes
+        _refuse_overflow(values["model"], 2 * values["model"].n_fock)
     return values
+
+
+def _refuse_overflow(model: ModelParams, n_fock: int) -> None:
+    """ConfigError naming the model key that takes an entry of H_Rabi at
+    `n_fock` beyond the largest float. 2 * model.n_fock is the largest
+    truncation a command other than `convergence` builds. The largest entries
+    are the top bare energy and the top coupling, computed in Python floats,
+    which overflow to inf without a warning."""
+    top = n_fock - 1
+    for key, entry in (
+        ("model.omega", bare_energy(top, 0, model.omega, model.Omega)),  # s = 0: photons
+        ("model.Omega", bare_energy(top, 1, model.omega, model.Omega)),
+        ("model.g", model.g * math.sqrt(top / 2)),  # `photon_ladder`'s top entry
+    ):
+        if not math.isfinite(entry):
+            value = getattr(model, key.split(".")[1])
+            raise ConfigError(
+                f"key {key!r} = {value!r} takes an entry of H_Rabi at n_fock = "
+                f"{n_fock} beyond the largest float"
+            )
 
 
 def _out(cfg: dict, name: str) -> str:
@@ -376,6 +405,7 @@ def cmd_convergence(cfg: dict) -> int:
         raise ConfigError(
             f"key 'convergence.sizes' = {sizes} must increase strictly from >= 2"
         )
+    _refuse_overflow(cfg["model"], sizes[-1])
     report = spectral.convergence_scan(cfg["model"], sizes, tol=cfg["convergence.tol"])
     atomic_write(_out(cfg, "convergence.json"), report.to_json())
     return EXIT_OK

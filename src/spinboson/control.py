@@ -390,7 +390,8 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
     truncation. Per edge, the far level's column of `_fidelity_blocks` ranks
     the counts a block of periods at a time; then `_replay` repeats the search
     up to the kept count for the path levels' populations, whose last far one
-    is the edge fidelity, and the next edge's start."""
+    is the edge fidelity, and the next edge's start. The segments' end times
+    and populations stay arrays (`TransferReport.times`, `.probabilities`)."""
     if delta <= 0:
         raise TransferError("design", "delta must be positive")
     if spectrum.params is None:
@@ -403,8 +404,8 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
 
     # H0's eigenpairs are the spectrum's, from its two certified chain solves
     prop = SegmentPropagator(h0, b, delta, (spectrum.eigenvalues, spectrum.eigenvectors))
-    segments: list[tuple[float, float]] = []
-    populations, edge_reports, t = [], [], 0.0
+    times, probabilities = [np.empty(0)], [np.empty((0, len(levels)))]
+    edge_reports, t = [], 0.0
     for a, c in zip(path, path[1:]):
         # a gap of the mean Hamiltonian, matched to the edge's H0 levels by overlap
         w_mean, v_mean = prop._decomposition(delta / 2)
@@ -431,13 +432,11 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
         if count:
             pops, psi = prop._replay(coeffs, power, rows, half, periods)
             # a running sum adds the half-periods in order, as t += half would
-            times = np.cumsum([t, *itertools.repeat(half, count)])[1:].tolist()
+            times.append(np.cumsum([t, *itertools.repeat(half, count)])[1:])
             # a free half-period leaves the populations of H0 eigenstates as
             # the driven one before it left them
-            probs = np.repeat(pops, 2, axis=0)[:count].tolist()
-            populations.extend({"t": x, "p": p} for x, p in zip(times, probs))
-            segments.extend((half, delta if s % 2 == 0 else 0.0) for s in range(count))
-            t = times[-1]
+            probabilities.append(np.repeat(pops, 2, axis=0)[:count])
+            t = times[-1][-1]
         edge_reports.append(
             {
                 "edge": [a, c],
@@ -459,9 +458,9 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
         spectrum.labels[tgt],
         delta,
         fidelity,
-        Pulse(segments, delta),
         edge_reports,
-        populations,
+        np.concatenate(times),
+        np.concatenate(probabilities),
         levels,
         spectrum.params.n_fock,
         float(np.sum(np.abs(untrusted) ** 2)),
@@ -484,6 +483,11 @@ class TransferReport:
     populations only: the pulse's half-periods come from M's spectrum, so the
     times can move by more, up to the segment count times the half-period's
     change from M to n_fock.
+
+    The time series is two arrays, the segments' end `times` (n,) and the
+    tracked populations after each, `probabilities` (n, len(tracked_levels));
+    `pulse` and the `populations` rows are rendered from them and `edges` on
+    first read, so a report that is only compared builds neither.
     """
 
     params: ModelParams
@@ -491,13 +495,29 @@ class TransferReport:
     target: BasisIndex
     delta: float
     fidelity: float
-    pulse: Pulse
     edges: list[dict]
-    populations: list[dict]
+    times: np.ndarray
+    probabilities: np.ndarray
     tracked_levels: list[int]
     working_n_fock: int
     outside_trust: float
     drift: float = 0.0
+
+    @cached_property
+    def pulse(self) -> Pulse:
+        """Per edge, `n_segments` half-periods on delta and 0 in turn, from delta."""
+        segments = [
+            (e["half_period"], self.delta if s % 2 == 0 else 0.0)
+            for e in self.edges
+            for s in range(e["n_segments"])
+        ]
+        return Pulse(segments, self.delta)
+
+    @cached_property
+    def populations(self) -> list[dict]:
+        """The time series as one {"t": time, "p": probabilities} row per segment."""
+        rows = zip(self.times.tolist(), self.probabilities.tolist())
+        return [{"t": t, "p": p} for t, p in rows]
 
     @property
     def total_time(self) -> float:
@@ -526,7 +546,7 @@ class TransferReport:
         write_csv(
             path,
             ["t"] + [f"p{k}" for k in self.tracked_levels],
-            ([row["t"], *row["p"]] for row in self.populations),
+            np.column_stack([self.times, self.probabilities]),
         )
 
 
@@ -578,12 +598,12 @@ def _working_sizes(n_fock: int, path: list[int]):
     on, smallest first: powers of two M >= GALERKIN_FLOOR with 4 M <= n_fock.
     The dense solves and squarings of the searches at M and 2M take 9 M^3
     against n_fock^3 for one at n_fock, but each also carries a few ms that do
-    not shrink with the dimension (the labelled spectrum with its trust scan,
-    the pulse, the population rows). Timed on the benchmark's transfers, the
-    two searches at M = 16 beat one at n_fock from n_fock ~56-60 on (shared
-    2-vCPU x86-64, OpenBLAS on one thread), hence 4 M: every n_fock <= 63
-    searches on itself. A path of no edge searches nothing, so it stays on
-    n_fock too."""
+    not shrink with the dimension: its labelled spectrum and trust scan (the
+    check run at 2M renders no pulse and no population rows). Timed on the
+    benchmark's transfers while the check run still rendered both, the two
+    searches at M = 16 beat one at n_fock from n_fock ~56-60 on (shared 2-vCPU
+    x86-64, OpenBLAS on one thread), hence 4 M: every n_fock <= 63 searches on
+    itself. A path of no edge searches nothing, so it stays on n_fock too."""
     m = GALERKIN_FLOOR
     while len(path) > 1 and 4 * m <= n_fock:
         yield m
@@ -641,19 +661,16 @@ def _working_transfer(spectrum, path, delta, max_periods, threshold):
 
 def _drifts(small: TransferReport, large: TransferReport) -> list[float] | None:
     """Each edge's largest change of its fidelity or of a population on its
-    rows from `small` to `large`, transfers along the same levels; None when
-    they track other levels or keep another `n_segments` on some edge."""
+    segments from `small` to `large`, transfers along the same levels, read
+    from their `probabilities`; None when they track other levels or keep
+    another `n_segments` on some edge."""
     counts = [e["n_segments"] for e in small.edges]
     if (small.tracked_levels, counts) != (
         large.tracked_levels,
         [e["n_segments"] for e in large.edges],
     ):
         return None
-    width = len(small.tracked_levels)
-    change = np.abs(
-        np.reshape([r["p"] for r in small.populations], (-1, width))
-        - np.reshape([r["p"] for r in large.populations], (-1, width))
-    )
+    change = np.abs(small.probabilities - large.probabilities)
     per_edge = np.split(change, np.cumsum(counts)[:-1])
     return [
         max(abs(a["fidelity"] - b["fidelity"]), float(rows.max(initial=0.0)))

@@ -440,14 +440,15 @@ def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spectrum:
-    """Dense symmetric eigensolve with labelling and residual certification."""
+    """Dense symmetric eigensolve with labelling and residual certification.
+    With `params`, the convergence scan at [N, 2N] runs only if `trust_cutoff`
+    is read, as for `rabi_spectrum` and `labelled_spectrum`."""
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
     w, v = dense_eigh(op.entries, op.name)
     labels, ambiguous = _attach_labels(v, basis_order(op.dim // 2))
     # a bare operator makes no truncation claim
-    trust_cutoff = op.dim if params is None else trusted_levels(params)
-    return Spectrum(params, w, v, labels, ambiguous, trust_cutoff)
+    return Spectrum(params, w, v, labels, ambiguous, op.dim if params is None else None)
 
 
 @dataclass

@@ -87,7 +87,10 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # omega = 2**20 (Omega and g scaled), where the bound on the scan's rounding
 # exceeds its tol; a chain at n_fock 16, g = 2, whose scan trusts 2 levels, so
 # the default window of 4 is cut to them; and a resonance window of 60 at
-# n_fock 32, beyond the 52 levels trusted there (exit 2 naming them).
+# n_fock 32, beyond the 52 levels trusted there (exit 2 naming them). Last, a
+# cross-spin transfer at g = 1.5, n_fock 128 that the check at 2M refuses on
+# M = 16, so it keeps a larger working truncation: it searches 16, 32 and 64
+# and keeps 32 (2443 segments, exit 0).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -127,6 +130,7 @@ REFERENCE = [
     workloads.Op(
         "resonance", {**_model(1.05, 0.2, 32), "resonance": {"window": 60, "g_samples": [0.2]}}
     ),
+    _transfer(_model(1.05, 1.5, 128), {"n": 0, "s": 1}),
 ]
 SETS = (*workloads.NAMES, "reference")
 
