@@ -98,8 +98,26 @@ MINIMUM: dict[str, int | float] = {
 # writing its 95,511 population rows); at ~0.6 us a period, 10**12 would run
 # for about a week. The quadruple check's n**2 slope differences took 0.24 s
 # and 148 MB peak RSS at window 1000, 1.1 s and 415 MB at 2000, growing about
-# as window**2 (one OpenBLAS thread on a 2-vCPU x86-64 VM).
-MAXIMUM: dict[str, int] = {"transfer.max_periods": 10**6, "degenerate.window": 1000}
+# as window**2. At n_fock 256, `branches` over 1000 grid points took 2.5 s and
+# 146 MB peak RSS (5.6 s at 2000), and `resonance` over 1000 drawn samples
+# 3.9 s (8.0 s at 2000); one OpenBLAS thread on a 2-vCPU x86-64 VM.
+MAXIMUM: dict[str, int] = {
+    "transfer.max_periods": 10**6,
+    "degenerate.window": 1000,
+    "grid.n_points": 1000,
+    "resonance.n_samples": 1000,
+}
+# Keys whose value x is a coupling g, or the control amplitude delta of
+# X (x) 1, whose ladder the couplings share: each scales the top ladder entry.
+COUPLINGS = (
+    "resonance.g_samples",
+    "resonance.g_min",
+    "resonance.g_max",
+    "grid.g_min",
+    "grid.g_max",
+    "perturb.window",
+    "transfer.delta",
+)
 TOP_LEVEL = {key for key in SCHEMA if "." not in key}
 SECTIONS = {key.split(".")[0] for key in SCHEMA} - TOP_LEVEL
 
@@ -205,26 +223,39 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
     except ValueError as exc:
         raise ConfigError(f"key 'model': {exc}") from None
     if command != "convergence":  # `cmd_convergence` checks its own sizes
-        _refuse_overflow(values["model"], 2 * values["model"].n_fock)
+        _refuse_overflow(values, 2 * values["model"].n_fock)
     return values
 
 
-def _refuse_overflow(model: ModelParams, n_fock: int) -> None:
-    """ConfigError naming the model key that takes an entry of H_Rabi at
-    `n_fock` beyond the largest float. 2 * model.n_fock is the largest
-    truncation a command other than `convergence` builds. The largest entries
-    are the top bare energy and the top coupling, computed in Python floats,
-    which overflow to inf without a warning."""
-    top = n_fock - 1
-    for key, entry in (
-        ("model.omega", bare_energy(top, 0, model.omega, model.Omega)),  # s = 0: photons
-        ("model.Omega", bare_energy(top, 1, model.omega, model.Omega)),
-        ("model.g", model.g * math.sqrt(top / 2)),  # `photon_ladder`'s top entry
-    ):
-        if not math.isfinite(entry):
-            value = getattr(model, key.split(".")[1])
+def _refuse_overflow(cfg: dict, n_fock: int) -> None:
+    """ConfigError naming the keys of a g range wider than the largest float,
+    else the key that takes a matrix entry at `n_fock` beyond it. 2 *
+    model.n_fock is the largest truncation a command other than `convergence`
+    builds. The largest entries are the top bare energy and the top ladder
+    entry sqrt((N - 1)/2) times g or a COUPLINGS value (each sample of
+    `resonance.g_samples`), computed in Python floats, which overflow to inf
+    without a warning. Like the bounds, every range and COUPLINGS key is
+    checked, whichever command reads it."""
+    for section in ("grid", "resonance"):
+        lo, hi = cfg[f"{section}.g_min"], cfg[f"{section}.g_max"]
+        if not math.isfinite(hi - lo):
             raise ConfigError(
-                f"key {key!r} = {value!r} takes an entry of H_Rabi at n_fock = "
+                f"keys '{section}.g_min' = {lo} and '{section}.g_max' = {hi} span a "
+                "range wider than the largest float"
+            )
+    model, top = cfg["model"], n_fock - 1
+    ladder = math.sqrt(top / 2)  # `photon_ladder`'s top entry
+    entries = [  # (key, value, entry); s = 0 gives the photons' energy alone
+        ("model.omega", model.omega, bare_energy(top, 0, model.omega, model.Omega)),
+        ("model.Omega", model.Omega, bare_energy(top, 1, model.omega, model.Omega)),
+    ]
+    for key in ("model.g", *COUPLINGS):
+        samples = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        entries += [(key, x, x * ladder) for x in samples if x is not None]
+    for key, value, entry in entries:
+        if not math.isfinite(entry):
+            raise ConfigError(
+                f"key {key!r} = {value!r} takes a matrix entry at n_fock = "
                 f"{n_fock} beyond the largest float"
             )
 
@@ -247,19 +278,8 @@ def cmd_spectrum(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _g_range(cfg: dict, section: str) -> tuple[float, float]:
-    """The section's g_min and g_max, refused when g_max - g_min overflows."""
-    lo, hi = cfg[f"{section}.g_min"], cfg[f"{section}.g_max"]
-    if not math.isfinite(hi - lo):
-        raise ConfigError(
-            f"keys '{section}.g_min' = {lo} and '{section}.g_max' = {hi} span a "
-            "range wider than the largest float"
-        )
-    return lo, hi
-
-
 def cmd_branches(cfg: dict) -> int:
-    (lo, hi), n = _g_range(cfg, "grid"), cfg["grid.n_points"]
+    lo, hi, n = cfg["grid.g_min"], cfg["grid.g_max"], cfg["grid.n_points"]
     grid = np.linspace(lo, hi, n)
     if n > 1 and lo == -hi:
         # mirror the upper half exactly: each |g| is then one chain solve
@@ -308,8 +328,7 @@ def cmd_perturb(cfg: dict) -> int:
 def _g_samples(cfg: dict) -> list[float]:
     if cfg["resonance.g_samples"] is not None:
         return cfg["resonance.g_samples"]
-    n = cfg["resonance.n_samples"]
-    lo, hi = _g_range(cfg, "resonance")
+    n, lo, hi = cfg["resonance.n_samples"], cfg["resonance.g_min"], cfg["resonance.g_max"]
     if cfg["seed"]:
         if lo > hi:
             raise ConfigError(
@@ -405,7 +424,7 @@ def cmd_convergence(cfg: dict) -> int:
         raise ConfigError(
             f"key 'convergence.sizes' = {sizes} must increase strictly from >= 2"
         )
-    _refuse_overflow(cfg["model"], sizes[-1])
+    _refuse_overflow(cfg, sizes[-1])
     report = spectral.convergence_scan(cfg["model"], sizes, tol=cfg["convergence.tol"])
     atomic_write(_out(cfg, "convergence.json"), report.to_json())
     return EXIT_OK

@@ -39,6 +39,7 @@ ImportError naming the file.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -90,6 +91,7 @@ SLOPE_TOL = 1e-6  # Hellmann-Feynman slope discrepancy that still counts as ok
 # temporaries leave the cache from N = 256 on, and blocks much smaller than 64
 # pay numpy's per-call cost (64 was within 5% of the fastest block at N = 64-1024)
 _RESIDUAL_BLOCK = 64
+_EPS = np.finfo(float).eps  # the machine epsilon 2u, u the unit roundoff
 
 
 class SolverError(RuntimeError):
@@ -213,22 +215,17 @@ class Spectrum:
         self.labels = labels
         self.ambiguous = ambiguous
         self.chains = chains
-        self._trust_cutoff = trust_cutoff
+        if trust_cutoff is not None:
+            self.trust_cutoff = trust_cutoff
         self._certified = 0  # the widest window the certificate has accepted
 
-    @property
+    @functools.cached_property
     def trust_cutoff(self) -> int:
-        if self._trust_cutoff is None:
-            self._trust_cutoff = trusted_levels(self.params)
-        return self._trust_cutoff
-
-    @trust_cutoff.setter
-    def trust_cutoff(self, count: int) -> None:
-        self._trust_cutoff = count
+        return trusted_levels(self.params)
 
     def trusts(self, window: int) -> bool:
         """Whether levels 0..window-1 are all trusted."""
-        if self._trust_cutoff is None and self.chains is not None:
+        if "trust_cutoff" not in vars(self) and self.chains is not None:
             if window <= self._certified:
                 return True
             if _padded_certificate(self, window):
@@ -273,40 +270,64 @@ def _check_gram(v: np.ndarray) -> None:
         raise SolverError(f"eigenvector orthonormality defect {ortho:.3e}")
 
 
+def _chain_residuals(d, e, w, u: np.ndarray) -> np.ndarray:
+    """The norms |T u_i - w_i u_i| of the rows u_i of u against the chain
+    T = (d, e), _RESIDUAL_BLOCK rows at a time. Rows read fastest when u is
+    C-contiguous, as v.T is for the Fortran-ordered v that LAPACK returns."""
+    residual = np.empty(len(w))
+    for lo in range(0, len(w), _RESIDUAL_BLOCK):
+        at = slice(lo, lo + _RESIDUAL_BLOCK)
+        block = u[at]
+        r = block * d
+        r[:, :-1] += block[:, 1:] * e
+        r[:, 1:] += block[:, :-1] * e
+        r -= w[at, None] * block
+        residual[at] = np.sqrt(np.einsum("ij,ij->i", r, r))
+    return residual
+
+
+def _kato_radii(residual, nsq, w, scale: float, n: int) -> np.ndarray:
+    """Kato radii: each [w_i - r_i, w_i + r_i], ends rounded, holds an
+    eigenvalue of a chain T with S = max|d| + 2 max|e| <= `scale`, from the
+    computed |T v_i - w_i v_i| (`_chain_residuals`) and nsq_i = |v_i|^2 of
+    vectors of n entries, eps = 2u:
+        r_i = (residual_i / sqrt(nsq_i) + 4 eps (scale + max|w|)) (1 + (n + 8) eps).
+    The one rounding argument of both chain certificates: a residual entry, a
+    sum of four products, is off by at most gamma_4 < 4.01u times the sum of
+    their moduli, a vector of norm at most (S + |w_i|) |v_i|; the other 3.99u
+    of the slack's 8u cover the interval ends and the slack's own rounding.
+    Sums of n squares are exact to 1 +- gamma_n; the square roots, the
+    quotient, a padded entry joined by `np.hypot` and the last sum and product
+    add a few u: all within the factor 1 + (n + 8) eps."""
+    slack = 4 * _EPS * (scale + np.max(np.abs(w)))
+    return (residual / np.sqrt(nsq) + slack) * (1 + (n + 8) * _EPS)
+
+
 def _enclosure_bound(
     d: np.ndarray, e: np.ndarray, w: np.ndarray, v: np.ndarray, residual: np.ndarray
 ) -> float:
     """An upper bound on max|V^T V - I| for the ascending eigenpairs (w, v) of
     the chain T = (d, e) in O(N^2), or inf when two enclosures touch.
 
-    Each [w_i - rho_i, w_i + rho_i] with rho_i = |T v_i - w_i v_i| / |v_i|
-    holds an eigenvalue of T (Kato). All N pairwise disjoint means one each,
-    so the nearest other eigenvalue is delta_i away at least, and Davis-Kahan
-    gives sin(v_i, u_i) <= s_i = rho_i / delta_i. As u_i is orthogonal to
-    u_j, |v_i^T v_j| <= n_i n_j (s_i + s_j + s_i s_j) with n_i = |v_i|.
-
-    rho_i carries a rounding slack 8u (max|d| + 2 max|e| + max|w|). Each entry
-    d_k v_k + e_k v_k+1 + e_k-1 v_k-1 - w_i v_k of the computed residual is a
-    sum of four products, so its rounding is at most gamma_4 < 4.01u times
-    the sum of their moduli, a vector of norm at most (max|d| + 2 max|e| +
-    |w_i|) |v_i|. The other half covers the relative rounding of the norms,
-    quotients and interval ends, since a residual that passed its check is
-    below 1e-10 of the scale. The squared norms, sums of N squares, get N u.
+    Each [w_i - rho_i, w_i + rho_i], rho_i the radius of `_kato_radii` (whose
+    docstring holds the rounding argument), holds an eigenvalue of T. All N
+    pairwise disjoint means one each, so the nearest other eigenvalue is
+    delta_i away at least, and Davis-Kahan gives sin(v_i, u_i) <= s_i =
+    rho_i / delta_i. As u_i is orthogonal to u_j, |v_i^T v_j| <= n_i n_j
+    (s_i + s_j + s_i s_j) with n_i = |v_i|, and the squared norms get N eps.
     """
-    eps = np.finfo(float).eps  # 2u
     n = len(w)
     nsq = np.einsum("ij,ij->j", v, v)
-    rho = residual / np.sqrt(nsq) + 4 * eps * (
-        np.max(np.abs(d)) + 2 * np.max(np.abs(e), initial=0.0) + np.max(np.abs(w))
-    )
+    scale = np.max(np.abs(d)) + 2 * np.max(np.abs(e), initial=0.0)
+    rho = _kato_radii(residual, nsq, w, scale, n)
     lo, hi = w - rho, w + rho
     if np.any(lo[1:] <= hi[:-1]):
         return math.inf
     below = np.append(math.inf, w[1:] - hi[:-1])
     above = np.append(lo[1:] - w[:-1], math.inf)
     s1, s2 = np.sort(np.append(rho / np.minimum(below, above), 0.0))[-1:-3:-1]
-    top = float(np.max(nsq)) * (1 + n * eps)
-    return max(float(np.max(np.abs(nsq - 1))) + n * eps * top, top * (s1 + s2 + s1 * s2))
+    top = float(np.max(nsq)) * (1 + n * _EPS)
+    return max(float(np.max(np.abs(nsq - 1))) + n * _EPS * top, top * (s1 + s2 + s1 * s2))
 
 
 def _padded_certificate(spectrum: Spectrum, window: int) -> bool:
@@ -319,13 +340,8 @@ def _padded_certificate(spectrum: Spectrum, window: int) -> bool:
     H_2N, entry for entry. Pad a level's eigenvector v_k (eigenvalue theta_k)
     with zeros: its residual in T_2N is its residual in T_N plus one entry
     c v_k[N-1] on photon N, where c = |g| sqrt(N/2) joins photon N-1 to N. So
-    by Kato's bound the interval of radius
-        r_k = sqrt(|H_N v_k - theta_k v_k|^2 + (c v_k[N-1])^2) / |v_k|
-    about theta_k holds an eigenvalue of T_2N. r_k takes the residual and norm
-    as computed, times 1 + (N + 8) eps, plus `_enclosure_bound`'s slack
-    4 eps (S_2N + max|theta|), S_2N = max|d| + 2 max|e| of T_2N, for the
-    rounding of the residual entries (sums of four products) and of the
-    interval ends.
+    the interval of the Kato radius r_k (`_kato_radii`, at S_2N = max|d| +
+    2 max|e| of T_2N) about theta_k holds an eigenvalue of T_2N.
 
     Let m_c of the window's levels lie in chain c. If their intervals are
     pairwise disjoint, they hold m_c distinct eigenvalues of T_2N, none above
@@ -334,43 +350,36 @@ def _padded_certificate(spectrum: Spectrum, window: int) -> bool:
     are then the lowest w levels of H_2N, one within r_k of each theta_k, so
     the sorted ones lie within rho of the sorted thetas, level by level.
 
-    The scan compares eigenvalue-only LAPACK solves. A LAPACK eigenvalue of a
-    chain of n rows is taken to lie within n eps S_n of exact, S_n = max|d| +
-    2 max|e| >= |T_n|_2 (S_N <= S_2N): the p(n) eps |T| bound of a backward
-    stable solver with p(n) = n. The vector solve's theta_k and the scan's
-    value at N then differ by at most 2 N eps S_N, and the scan's value at 2N
-    lies within 2 N eps S_2N of the exact level, so each drift the scan
-    computes for k < w is at most rho + 4 N eps S_2N, times 1 + eps for its
-    subtraction. Where that is at most TRUST_TOL, the scan trusts all w
-    levels. dstebz's value gets the same 2 N eps S_2N, doubled for the
-    comparison.
+    The scan compares eigenvalue-only LAPACK solves, each taken within
+    n eps S_n of exact on a chain of n rows (S_n >= |T_n|_2, S_N <= S_2N): the
+    p(n) eps |T| bound of a backward stable solver, p(n) = n. The vector
+    solve's theta_k and the scan's value at N then differ by at most
+    2 N eps S_N, and the scan's value at 2N lies within 2 N eps S_2N of the
+    exact level, so each drift the scan computes for k < w is at most
+    rho + 4 N eps S_2N, times 1 + eps for its subtraction. Where that is at
+    most TRUST_TOL, the scan trusts all w levels. dstebz's value gets the same
+    2 N eps S_2N, doubled for the comparison.
     """
     params = spectrum.params
     n = params.n_fock
     if window > spectrum.dim:
         return False
-    eps = np.finfo(float).eps
     theta, chains = spectrum.eigenvalues[:window], spectrum.chains[:window]
     # T_2N's chains, whose first N rows and N - 1 couplings are T_N's
     d2, c2 = rabi_bands(ModelParams(params.omega, params.Omega, params.g, 2 * n))
-    c, edge = c2[: n - 1, None], abs(c2[n - 1])
     scale = np.max(np.abs(d2)) + 2 * np.max(np.abs(c2))
-    radius = np.empty(window)
+    residual, nsq = np.empty(window), np.empty(window)
     for chain, rows in enumerate(_chains(2 * n)):
         mine = chains == chain
-        u = spectrum.eigenvectors[np.ix_(rows[:n], np.flatnonzero(mine))]
-        r = u * d2[rows[:n], None]
-        r[:-1] += c * u[1:]
-        r[1:] += c * u[:-1]
-        r -= u * theta[mine]
-        radius[mine] = np.sqrt(
-            (np.einsum("ij,ij->j", r, r) + (edge * u[-1]) ** 2) / np.einsum("ij,ij->j", u, u)
-        )
-    radius = (radius + 4 * eps * (scale + np.max(np.abs(theta)))) * (1 + (n + 8) * eps)
+        u = spectrum.eigenvectors.T[np.ix_(np.flatnonzero(mine), rows[:n])]
+        inner = _chain_residuals(d2[rows[:n]], c2[: n - 1], theta[mine], u)
+        residual[mine] = np.hypot(inner, c2[n - 1] * u[:, -1])
+        nsq[mine] = np.einsum("ij,ij->i", u, u)
+    radius = _kato_radii(residual, nsq, theta, scale, n)
     rho = float(np.max(radius))
-    if (rho + 4 * n * eps * scale) * (1 + eps) > TRUST_TOL:
+    if (rho + 4 * n * _EPS * scale) * (1 + _EPS) > TRUST_TOL:
         return False
-    top = theta[-1] + rho + 4 * n * eps * scale
+    top = theta[-1] + rho + 4 * n * _EPS * scale
     for chain, rows in enumerate(_chains(2 * n)):
         mine = chains == chain
         lo, hi = theta[mine] - radius[mine], theta[mine] + radius[mine]
@@ -540,18 +549,7 @@ def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenpairs of the chain with diagonal d and off-diagonal e:
     orthonormal by `_enclosure_bound` in O(N^2), else by the Gram matrix."""
     w, v = eigh_tridiagonal(d, e)
-    residual = np.empty(len(w))
-    for lo in range(0, len(w), _RESIDUAL_BLOCK):
-        # rows of v.T are eigenvectors, contiguous as LAPACK returns v in
-        # Fortran order; each entry is a sum of four products, as the rounding
-        # slack of `_enclosure_bound` assumes
-        at = slice(lo, lo + _RESIDUAL_BLOCK)
-        u = v.T[at]
-        r = u * d
-        r[:, :-1] += u[:, 1:] * e
-        r[:, 1:] += u[:, :-1] * e
-        r -= w[at, None] * u
-        residual[at] = np.sqrt(np.einsum("ij,ij->i", r, r))
+    residual = _chain_residuals(d, e, w, v.T)
     _check_residuals(residual, w)
     if _enclosure_bound(d, e, w, v, residual) > RESIDUAL_TOL:
         _check_gram(v)
