@@ -75,6 +75,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
 # float exceeds it, and a str or list has at least that many entries.
 MINIMUM: dict[str, int | float] = {
     "output_dir": 1,
+    "model.omega": 0.0,
+    "model.Omega": 0.0,
+    "model.n_fock": 2,
     "grid.n_points": 1,
     "resonance.window": 1,
     "resonance.g_samples": 1,
@@ -218,10 +221,7 @@ def check_config(raw, command: str, flags: dict[str, object]) -> dict[str, objec
         else:
             values[key] = None
     model = [values[f"model.{key}"] for key in ("omega", "Omega", "g", "n_fock")]
-    try:
-        values["model"] = ModelParams(*model)
-    except ValueError as exc:
-        raise ConfigError(f"key 'model': {exc}") from None
+    values["model"] = ModelParams(*model)  # the kinds and bounds hold its checks
     if command != "convergence":  # `cmd_convergence` checks its own sizes
         _refuse_overflow(values, 2 * values["model"].n_fock)
     return values
@@ -270,7 +270,7 @@ def cmd_spectrum(cfg: dict) -> int:
     rows = []
     for k, e in enumerate(spec.eigenvalues.tolist()):
         lab = spec.labels.get(k)
-        n, s = ("", "") if lab is None else (str(lab.n), str(lab.s))
+        n, s = ("", "") if lab is None else (lab.n, lab.s)
         rows.append([k, n, s, e])
     write_csv(
         _out(cfg, "spectrum.csv"), ["level", "label_n", "label_s", "eigenvalue"], rows

@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,7 +111,8 @@ class Pulse:
 
     @property
     def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
+        """The durations added left to right from 0, as `sum` did before Python 3.12."""
+        return functools.reduce(operator.add, (d for d, _ in self.segments), 0)
 
     def to_csv(self, path: str | os.PathLike) -> None:
         write_csv(path, ["duration", "amplitude"], self.segments)
@@ -199,7 +201,7 @@ class SegmentPropagator:
 
     def _search(self, psi, tracked, half, horizon):
         """The start of the blocked search over the square wave of half-period
-        `half` that starts on u = delta: (c, rows, P^B).
+        `half` that starts on u = delta: (c, rows, P^B, drive).
 
         No lab-basis state is built. In the driven eigenbasis one period is
         P = M^T Phi_0 M Phi_delta, with M = V_0^T V_delta and
@@ -209,17 +211,17 @@ class SegmentPropagator:
         V_delta. The periods go in blocks of B = `_block_size(horizon, 2N)`:
         the rows R Phi_delta P^b, b < B, and P^B come from log2(B) squarings,
         as one (B, len(tracked), 2N) array whose row b gives the tracked
-        amplitudes after half-period 2b + 1 of a block.
+        amplitudes after half-period 2b + 1 of a block. `_replay` goes on
+        with `drive` = (V_delta, M, Phi_delta, Phi_0).
         """
-        w_d, v_d = self._decomposition(self.delta)
-        w_0, _ = self._decomposition(0.0)
+        (w_d, v_d), (w_0, _) = self._decomposition(self.delta), self._decomposition(0.0)
         m = self._overlap
-        phase_d = np.exp(-1j * w_d * half)
+        phase_d, phase_0 = np.exp(-1j * w_d * half), np.exp(-1j * w_0 * half)
         # P is built from real products, with no complex (2N)^2 temporary:
-        # Re(M^T Phi_0 M) = M^T cos M, Im = -M^T sin M
+        # Re(M^T Phi_0 M) = M^T Re(Phi_0) M, and Im likewise
         power = np.empty(m.shape, dtype=complex)
-        power.real = m.T @ (m * np.cos(w_0 * half)[:, None])
-        power.imag = m.T @ (m * -np.sin(w_0 * half)[:, None])
+        power.real = m.T @ (m * phase_0.real[:, None])
+        power.imag = m.T @ (m * phase_0.imag[:, None])
         power *= phase_d
         c = _real_matvec(v_d.T, psi)
         rows = ((tracked.T @ v_d) * phase_d)[None]
@@ -227,7 +229,7 @@ class SegmentPropagator:
         while len(rows) < block:
             rows = np.concatenate([rows, rows @ power])  # b < 2 len(rows)
             power = power @ power
-        return c, rows, power
+        return c, rows, power, (v_d, m, phase_d, phase_0)
 
     def driven_fidelities(
         self, psi: np.ndarray, far: np.ndarray, half: float, horizon: int | None = None
@@ -238,23 +240,21 @@ class SegmentPropagator:
         blocks of `_fidelity_blocks` with `far` the one tracked column, one
         float at a time, so memory does not grow with m; without a horizon, B = 1.
         """
-        c, rows, power = self._search(psi, far[:, None], half, horizon)
+        c, rows, power, _ = self._search(psi, far[:, None], half, horizon)
         for _, fidelities in _fidelity_blocks(c, rows, power):
             yield from fidelities.ravel().tolist()
 
-    def _replay(self, c, power, rows, half, periods):
+    def _replay(self, c, power, rows, drive, periods):
         """The search from `c` once more, up to its period `periods`: the
         tracked populations after each of its driven half-periods, as rows,
         and the lab state after the last, V_delta Phi_delta P^(periods-1) c.
         Whole blocks come from `_fidelity_blocks`, as in the search, so its
         populations repeat bit for bit; the rest of the last block goes one
-        period at a time through M, P c = M^T (Phi_0 * (M (Phi_delta * c))),
-        so no complex (2N)^2 matrix is held beside P^B.
+        period at a time through the search's `drive` (see `_search`), P c =
+        M^T (Phi_0 * (M (Phi_delta * c))), so no complex (2N)^2 matrix is
+        held beside P^B.
         """
-        w_d, v_d = self._decomposition(self.delta)
-        w_0, _ = self._decomposition(0.0)
-        m = self._overlap
-        phase_d, phase_0 = np.exp(-1j * w_d * half), np.exp(-1j * w_0 * half)
+        v_d, m, phase_d, phase_0 = drive
         whole, rest = divmod(periods - 1, len(rows))
         populations = []
         for c, block in itertools.islice(_fidelity_blocks(c, rows, power), whole + 1):
@@ -333,8 +333,6 @@ def _witness_path(graph: TransitionGraph, source: int, target: int) -> list[int]
     if graph.chain_witness is None:
         raise TransferError("certify", "graph has no spanning chain witness")
     prev = bfs_parents(adjacency(graph.chain_witness), source)
-    if len(prev) == 1 and source != target:
-        raise TransferError("design", f"no path: level {source} not in the witness")
     if target not in prev:
         raise TransferError(
             "design", f"no path between levels {source} and {target} in the witness"
@@ -420,7 +418,7 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
         # only counts ending on a driven half-period are ranked. The first
         # strict maximum wins: argmax takes a block's first maximum, and >
         # keeps an equal one from an earlier block
-        coeffs, rows, power = prop._search(psi, level_vecs, half, max_periods)
+        coeffs, rows, power, drive = prop._search(psi, level_vecs, half, max_periods)
         blocks = _fidelity_blocks(coeffs, rows, power)
         column = levels.index(c)
         for first in range(0, max_periods, len(rows)):
@@ -430,7 +428,7 @@ def _sweep_path(spectrum, path, delta, max_periods, threshold):
                 best_fid, periods = float(fids[best]), first + best + 1
         count = 2 * periods - 1 if periods else 0
         if count:
-            pops, psi = prop._replay(coeffs, power, rows, half, periods)
+            pops, psi = prop._replay(coeffs, power, rows, drive, periods)
             # a running sum adds the half-periods in order, as t += half would
             times.append(np.cumsum([t, *itertools.repeat(half, count)])[1:])
             # a free half-period leaves the populations of H0 eigenstates as
@@ -484,10 +482,10 @@ class TransferReport:
     times can move by more, up to the segment count times the half-period's
     change from M to n_fock.
 
-    The time series is two arrays, the segments' end `times` (n,) and the
-    tracked populations after each, `probabilities` (n, len(tracked_levels));
-    `pulse` and the `populations` rows are rendered from them and `edges` on
-    first read, so a report that is only compared builds neither.
+    The time series is two arrays: the segments' end `times` (n,), a running
+    sum from 0 whose last is `total_time`, and the populations after each,
+    `probabilities` (n, len(tracked_levels)). `pulse` and the `populations`
+    rows are rendered on first read, so writing a report builds no pulse.
     """
 
     params: ModelParams
@@ -521,7 +519,7 @@ class TransferReport:
 
     @property
     def total_time(self) -> float:
-        return self.pulse.total_duration
+        return self.times[-1].item() if len(self.times) else 0
 
     def to_json(self) -> str:
         margin = {"n_fock": self.working_n_fock, "outside_trust": self.outside_trust}
@@ -546,7 +544,7 @@ class TransferReport:
         write_csv(
             path,
             ["t"] + [f"p{k}" for k in self.tracked_levels],
-            np.column_stack([self.times, self.probabilities]),
+            np.column_stack([self.times, self.probabilities]).tolist(),
         )
 
 

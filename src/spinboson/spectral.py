@@ -270,10 +270,23 @@ def _check_gram(v: np.ndarray) -> None:
         raise SolverError(f"eigenvector orthonormality defect {ortho:.3e}")
 
 
+def _unit_exponent(*arrays) -> int:
+    """The k that puts the largest |entry| of `arrays` in [0.5, 1) (0 if all
+    are 0). A residual norm formed on an operator and its eigenvalues times
+    2^-k squares entries of at most a few units, so it cannot overflow; times
+    2^k it is the norm of the inputs as given, bit for bit wherever no scaled
+    or unscaled product leaves the normal floats, as scaling by a power of
+    two is exact."""
+    return math.frexp(max(float(np.max(np.abs(x), initial=0.0)) for x in arrays))[1]
+
+
 def _chain_residuals(d, e, w, u: np.ndarray) -> np.ndarray:
     """The norms |T u_i - w_i u_i| of the rows u_i of u against the chain
-    T = (d, e), _RESIDUAL_BLOCK rows at a time. Rows read fastest when u is
-    C-contiguous, as v.T is for the Fortran-ordered v that LAPACK returns."""
+    T = (d, e), _RESIDUAL_BLOCK rows at a time, formed on d, e and w times
+    2^-k (`_unit_exponent`), so that no square overflows. Rows read fastest
+    when u is C-contiguous, as v.T is for the Fortran-ordered v of LAPACK."""
+    k = _unit_exponent(d, e, w)
+    d, e, w = np.ldexp(d, -k), np.ldexp(e, -k), np.ldexp(w, -k)
     residual = np.empty(len(w))
     for lo in range(0, len(w), _RESIDUAL_BLOCK):
         at = slice(lo, lo + _RESIDUAL_BLOCK)
@@ -283,7 +296,7 @@ def _chain_residuals(d, e, w, u: np.ndarray) -> np.ndarray:
         r[:, 1:] += block[:, :-1] * e
         r -= w[at, None] * block
         residual[at] = np.sqrt(np.einsum("ij,ij->i", r, r))
-    return residual
+    return np.ldexp(residual, k)
 
 
 def _kato_radii(residual, nsq, w, scale: float, n: int) -> np.ndarray:
@@ -438,12 +451,16 @@ def trusted_levels(params: ModelParams) -> int:
 
 def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix, residual and orthonormality checked.
-    The solve reads one triangle only, so an asymmetric matrix fails the check."""
+    The solve reads one triangle only, so an asymmetric matrix fails the check.
+    The residuals are formed on the matrix and w times 2^-k, k the
+    `_unit_exponent` of w, whose largest |entry| bounds the matrix's."""
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge on {name}") from exc
-    _check_residuals(np.linalg.norm(matrix @ v - v * w, axis=0), w)
+    k = _unit_exponent(w)
+    residual = np.linalg.norm(np.ldexp(matrix, -k) @ v - v * np.ldexp(w, -k), axis=0)
+    _check_residuals(np.ldexp(residual, k), w)
     _check_gram(v)
     return w, v
 
@@ -532,16 +549,15 @@ def _ranked(rows: np.ndarray, energies: np.ndarray) -> np.ndarray:
 def _seed_at_zero(params: ModelParams) -> tuple[list[BasisIndex], np.ndarray, np.ndarray]:
     """Branch labels, seed vectors (columns in label order) and energies at g = 0.
 
-    Each tied pair (j,+1), (j+1,-1) (omega = Omega) is seeded by the split
-    combinations of `degenerate_basis`: (j,+1) takes the symmetric one.
+    Each tied pair (j,+1), (j+1,-1) (omega = Omega; one `tied` over all j) is
+    seeded by `degenerate_basis`'s split combinations; (j,+1) takes the symmetric one.
     """
     labels = basis_order(params.n_fock)
     energies, _ = rabi_bands(params)
     vecs = np.eye(params.dim)
-    for j in range(params.n_fock - 1):
-        up, dn = BasisIndex(j, 1).k, BasisIndex(j + 1, -1).k
-        if tied(energies[up], energies[dn]):
-            vecs[:, up], vecs[:, dn] = degenerate_basis(j, params.n_fock)
+    up = 2 * np.arange(params.n_fock - 1)  # linear index of (j, +1)
+    for j in np.flatnonzero(tied(energies[up], energies[up + 3])).tolist():
+        vecs[:, 2 * j], vecs[:, 2 * j + 3] = degenerate_basis(j, params.n_fock)
     return labels, vecs, energies
 
 

@@ -45,6 +45,12 @@ BELOW = [
     ("degenerate", "degenerate.window", 1),
     ("degenerate", "degenerate.j_max", -2),
     ("spectrum", "output_dir", ""),
+    ("spectrum", "model.omega", -1.0),
+    ("chain", "model.omega", 0.0),
+    ("spectrum", "model.Omega", 0.0),
+    ("transfer", "model.Omega", -1.05),
+    ("spectrum", "model.n_fock", 1),
+    ("branches", "model.n_fock", 0),
 ]
 
 # values at the bound, which are accepted
@@ -54,6 +60,7 @@ AT = [
     ("resonance", "resonance.n_samples", 1),
     ("resonance", "resonance.window", 1),
     ("branches", "grid.n_points", 1),
+    ("spectrum", "model.n_fock", 2),
 ]
 
 

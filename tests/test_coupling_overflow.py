@@ -1,6 +1,7 @@
 """A coupling key whose top ladder entry at 2 * n_fock exceeds the largest
 float, and a count key above its upper bound, exit 2 naming the key before
-any work. Finite but huge couplings still run and fail their certificate."""
+any work. Finite but huge couplings still run: a grid or a fit window fails
+its certificate, and a sample is refused by the window its scan trusts."""
 
 import json
 import os
@@ -57,17 +58,24 @@ def test_the_check_is_at_twice_n_fock(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, sections, model",
     [
-        ("resonance", {"resonance": {"g_samples": [1e307]}}, {}),
         ("branches", {"grid": {"g_min": -1e307, "g_max": 0, "n_points": 2}}, {}),
         ("perturb", {"perturb": {"window": 1e307}}, {"n_fock": 8, "Omega": 1.5}),
     ],
-    ids=["g_samples", "grid", "perturb"],
+    ids=["grid", "perturb"],
 )
 def test_finite_huge_coupling_is_a_certification_failure(
     tmp_path, capsys, command, sections, model
 ):
     assert run(tmp_path, command, sections, **model) == EXIT_CERTIFICATION
     assert "certification failure" in capsys.readouterr().err
+
+
+def test_finite_huge_sample_is_refused_by_its_trusted_window(tmp_path, capsys):
+    # its chain solves are certified; the scan's absolute tol trusts no level
+    assert run(tmp_path, "resonance", {"resonance": {"g_samples": [1e307]}}) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "'resonance.window'" in err and "within the 0 levels" in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 COUNTS = [("branches", "grid", "n_points"), ("resonance", "resonance", "n_samples")]

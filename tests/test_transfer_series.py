@@ -1,9 +1,9 @@
 """A transfer's time series has one form: the sweep keeps the segment end
 times and the tracked populations as arrays (`TransferReport.times` and
 `.probabilities`), and the report renders its `Pulse` and its population rows
-from them only when they are read. So a transfer checked on a working
-truncation builds one pulse, for the report it writes, and both files agree
-with the arrays float for float."""
+from them only when they are read. Its total time is the last end time, so a
+transfer checked on a working truncation builds no pulse, not even for the
+report it writes, and both files agree with the arrays float for float."""
 
 import csv
 import json
@@ -33,9 +33,9 @@ def run_transfer(tmp_path, n_fock, target, **keys):
     return main(["transfer", "--config", str(path)]), out
 
 
-def test_a_checked_transfer_builds_one_pulse(tmp_path, monkeypatch):
-    # n_fock 64 searches on M = 16 and checks on 32; only the report that is
-    # written validates its pulse
+def test_a_checked_transfer_builds_no_pulse(tmp_path, monkeypatch):
+    # n_fock 64 searches on M = 16 and checks on 32; the report that is
+    # written reads its total time off `times`, so no run validates a pulse
     built = []
     post_init = control.Pulse.__post_init__
 
@@ -48,7 +48,8 @@ def test_a_checked_transfer_builds_one_pulse(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     written = json.loads((out / "transfer.json").read_text())
     assert written["galerkin"]["n_fock"] == 16
-    assert built == [sum(e["n_segments"] for e in written["edges"])]
+    assert built == []
+    assert written["total_time"] == written["populations"][-1]["t"]
 
 
 # a transfer on a working truncation, a two-edge transfer and one of no segment

@@ -90,10 +90,14 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # n_fock 32, beyond the 52 levels trusted there (exit 2 naming them). Then a
 # cross-spin transfer at g = 1.5, n_fock 128 that the check at 2M refuses on
 # M = 16, so it keeps a larger working truncation: it searches 16, 32 and 64
-# and keeps 32 (2443 segments, exit 0). Last, a chain at n_fock 1024 over its
+# and keeps 32 (2443 segments, exit 0). Then a chain at n_fock 1024 over its
 # default window of 256 levels, the largest op: each chain solve forms its
 # residuals in 16 blocks, and the padded-residual certificate covers 256
-# levels (256 nodes, 2219 edges, connected, exit 0).
+# levels (256 nodes, 2219 edges, connected, exit 0). Then a transfer from
+# (0, -1) to itself at n_fock 16, which keeps no segment, so its total_time is
+# written as 0 and populations.csv holds its header alone; and a spectrum at
+# omega = 2**-500 (Omega and g scaled, n_fock 32), whose residual norms are
+# formed on the chains scaled up by a power of two (exit 0).
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -135,6 +139,8 @@ REFERENCE = [
     ),
     _transfer(_model(1.05, 1.5, 128), {"n": 0, "s": 1}),
     workloads.Op("chain", _model(1.05, 0.2, 1024)),
+    _transfer(_model(1.05, 0.2, 16), {"n": 0, "s": -1}),
+    workloads.Op("spectrum", _model(1.05 * 2**-500, 0.2 * 2**-500, 32, omega=2.0**-500)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
