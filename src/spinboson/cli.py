@@ -87,7 +87,7 @@ MINIMUM: dict[str, int | float] = {
     "transfer.delta": 0.0,
     "transfer.max_periods": 1,
     "transfer.threshold": 0.0,
-    "transfer.window": 1,
+    "transfer.window": 2,  # a graph of one level has no edge
     "convergence.sizes": 2,
     "convergence.tol": 0.0,
     "perturb.window": 0.0,
@@ -340,15 +340,19 @@ def _g_samples(cfg: dict) -> list[float]:
     return [float(g) for g in np.linspace(lo, hi, n)]
 
 
-def _window(cfg: dict, key: str, default: int, spec: spectral.Spectrum, g: float) -> int:
+def _window(
+    cfg: dict, key: str, default: int, spec: spectral.Spectrum, g: float, least: int = 1
+) -> int:
     """The window under `key`, else `default` cut to the levels `spec` trusts;
-    refused outside 1..trust. The count of trusted levels is read (and the
-    convergence scan run) only for the cut and the refusal."""
+    refused outside least..trust. `chain` and `transfer` take least = 2: a
+    window of one level has no edge, so its graph would be connected
+    vacuously."""
     window = spec.trusted_window(default) if cfg[key] is None else cfg[key]
-    if window < 1 or not spec.trusts(window):
+    if window < least or not spec.trusts(window):
         raise ConfigError(
-            f"key {key!r}: window {window} must be >= 1 and within the "
-            f"{spec.trust_cutoff} levels the convergence scan trusts at g = {g}"
+            f"key {key!r}: window {window} must be >= {least} and within the "
+            f"{spec.trust_cutoff} levels at g = {g} whose untruncated eigenvalues "
+            f"the truncation encloses to {spectral.TRUST_TOL:g} omega"
         )
     return window
 
@@ -373,7 +377,7 @@ def cmd_chain(cfg: dict) -> int:
     model = cfg["model"]
     spec = spectral.labelled_spectrum(model)
     default = spectral.default_window(model.n_fock)
-    window = _window(cfg, "resonance.window", default, spec, model.g)
+    window = _window(cfg, "resonance.window", default, spec, model.g, least=2)
     graph = resonance.coupling_graph(
         spec,
         build_control(model),
@@ -399,7 +403,7 @@ def cmd_transfer(cfg: dict) -> int:
     default = spectral.default_window(model.n_fock)
     # the window is checked against the spectrum the transfer uses
     spectrum = control.labelled_spectrum(model)
-    window = _window(cfg, "transfer.window", default, spectrum, model.g)
+    window = _window(cfg, "transfer.window", default, spectrum, model.g, least=2)
     threshold = cfg["transfer.threshold"]
     report = control.transfer_experiment(
         model,

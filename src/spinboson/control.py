@@ -596,12 +596,13 @@ def _working_sizes(n_fock: int, path: list[int]):
     on, smallest first: powers of two M >= GALERKIN_FLOOR with 4 M <= n_fock.
     The dense solves and squarings of the searches at M and 2M take 9 M^3
     against n_fock^3 for one at n_fock, but each also carries a few ms that do
-    not shrink with the dimension: its labelled spectrum and trust scan (the
+    not shrink with the dimension: its labelled spectrum and trust count (the
     check run at 2M renders no pulse and no population rows). Timed on the
-    benchmark's transfers while the check run still rendered both, the two
-    searches at M = 16 beat one at n_fock from n_fock ~56-60 on (shared 2-vCPU
-    x86-64, OpenBLAS on one thread), hence 4 M: every n_fock <= 63 searches on
-    itself. A path of no edge searches nothing, so it stays on n_fock too."""
+    benchmark's transfers, the two searches at M = 16 took 5.8-5.9 ms against
+    4.9 ms for one at n_fock 48, 6.0-6.1 ms at 56 and 8.1 ms at 64, so they
+    win from n_fock ~56 on (shared 2-vCPU x86-64, OpenBLAS on one thread),
+    hence 4 M: every n_fock <= 63 searches on itself. A path of no edge
+    searches nothing, so it stays on n_fock too."""
     m = GALERKIN_FLOOR
     while len(path) > 1 and 4 * m <= n_fock:
         yield m

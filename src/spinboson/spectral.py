@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-TRUST_TOL = 1e-8  # eigenvalue drift from N to 2N below which a level is trusted
+TRUST_TOL = 1e-8  # trusted enclosure width / omega; `convergence`'s default drift tol
 AMBIGUITY_TOL = 1e-6
 OVERLAP_THRESHOLD = 1 / math.sqrt(2)
 OVERLAP_FLOOR = 0.8  # continuation overlap below which a step is matched or bisected
@@ -174,13 +174,7 @@ def eigvalsh_tridiagonal(d, e, top: bool = False) -> np.ndarray:
         w, _, info = _flapack.dstevd(d, e, compute_v=0)
         _check_info(info, "stevd (eigh_tridiagonal)")
         return w
-    return _bisect(d, e, len(d) - 1)
-
-
-def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> np.ndarray:
-    """The eigenvalue of the chain (d, e) of `index` (from 0, ascending), by
-    dstebz with scipy.linalg's arguments for select="i" at (index, index)."""
-    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "E")
+    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, len(d), len(d), 0.0, "E")
     _check_info(info, "stebz (eigh_tridiagonal)")
     return w[:m]
 
@@ -188,15 +182,11 @@ def _bisect(d: np.ndarray, e: np.ndarray, index: int) -> np.ndarray:
 class Spectrum:
     """Eigenpairs of one operator at one parameter point.
 
-    `trust_cutoff` counts the levels that the convergence scan at [N, 2N]
-    trusts at params (`trusted_levels`). A count given to the constructor or
-    assigned stands; else the scan runs when the count is first read, once.
-    `trusts(w)` asks only whether levels 0..w-1 are trusted. A spectrum of
-    H_Rabi from its chain solves knows the chain of each level (`chains`, 0 or
-    1 as `_chains` numbers them) and answers that by the padded-residual
-    certificate (`_padded_certificate`) where it suffices, caching the widest
-    window it has certified; where it declines, the count decides, and once
-    the count is known it decides alone.
+    `trust_cutoff` counts the leading levels that H_Rabi at params, truncated
+    to N photons, encloses within TRUST_TOL omega of the untruncated model's
+    (`_enclosed_levels`, from the spectrum's own eigenvalues). A count given
+    to the constructor or assigned stands; else it is formed when first read,
+    once. `trusts` and `trusted_window` read it alone.
     """
 
     def __init__(
@@ -207,36 +197,26 @@ class Spectrum:
         labels: dict[int, BasisIndex],
         ambiguous: list[int],
         trust_cutoff: int | None = None,
-        chains: np.ndarray | None = None,
     ):
         self.params = params
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.labels = labels
         self.ambiguous = ambiguous
-        self.chains = chains
         if trust_cutoff is not None:
             self.trust_cutoff = trust_cutoff
-        self._certified = 0  # the widest window the certificate has accepted
 
     @functools.cached_property
     def trust_cutoff(self) -> int:
-        return trusted_levels(self.params)
+        return _enclosed_levels(self.params, self.eigenvalues)
 
     def trusts(self, window: int) -> bool:
         """Whether levels 0..window-1 are all trusted."""
-        if "trust_cutoff" not in vars(self) and self.chains is not None:
-            if window <= self._certified:
-                return True
-            if _padded_certificate(self, window):
-                self._certified = window
-                return True
         return window <= self.trust_cutoff
 
     def trusted_window(self, window: int) -> int:
-        """`window` cut to the trusted levels, reading their count only when
-        they are fewer."""
-        return window if self.trusts(window) else self.trust_cutoff
+        """`window` cut to the trusted levels."""
+        return min(window, self.trust_cutoff)
 
     @property
     def dim(self) -> int:
@@ -305,13 +285,13 @@ def _kato_radii(residual, nsq, w, scale: float, n: int) -> np.ndarray:
     computed |T v_i - w_i v_i| (`_chain_residuals`) and nsq_i = |v_i|^2 of
     vectors of n entries, eps = 2u:
         r_i = (residual_i / sqrt(nsq_i) + 4 eps (scale + max|w|)) (1 + (n + 8) eps).
-    The one rounding argument of both chain certificates: a residual entry, a
+    The rounding argument of the chain certificate: a residual entry, a
     sum of four products, is off by at most gamma_4 < 4.01u times the sum of
     their moduli, a vector of norm at most (S + |w_i|) |v_i|; the other 3.99u
     of the slack's 8u cover the interval ends and the slack's own rounding.
     Sums of n squares are exact to 1 +- gamma_n; the square roots, the
-    quotient, a padded entry joined by `np.hypot` and the last sum and product
-    add a few u: all within the factor 1 + (n + 8) eps."""
+    quotient and the last sum and product add a few u: all within the factor
+    1 + (n + 8) eps."""
     slack = 4 * _EPS * (scale + np.max(np.abs(w)))
     return (residual / np.sqrt(nsq) + slack) * (1 + (n + 8) * _EPS)
 
@@ -341,64 +321,6 @@ def _enclosure_bound(
     s1, s2 = np.sort(np.append(rho / np.minimum(below, above), 0.0))[-1:-3:-1]
     top = float(np.max(nsq)) * (1 + n * _EPS)
     return max(float(np.max(np.abs(nsq - 1))) + n * _EPS * top, top * (s1 + s2 + s1 * s2))
-
-
-def _padded_certificate(spectrum: Spectrum, window: int) -> bool:
-    """Whether the padded residuals of the lowest `window` levels of an H_Rabi
-    spectrum from its chain solves prove that the convergence scan at [N, 2N]
-    (`trusted_levels`) trusts them all; False where they do not suffice.
-    O(N window), plus one dstebz bisection per chain of H_2N.
-
-    A chain T_N of H_N is the leading N x N block of the same chain T_2N of
-    H_2N, entry for entry. Pad a level's eigenvector v_k (eigenvalue theta_k)
-    with zeros: its residual in T_2N is its residual in T_N plus one entry
-    c v_k[N-1] on photon N, where c = |g| sqrt(N/2) joins photon N-1 to N. So
-    the interval of the Kato radius r_k (`_kato_radii`, at S_2N = max|d| +
-    2 max|e| of T_2N) about theta_k holds an eigenvalue of T_2N.
-
-    Let m_c of the window's levels lie in chain c. If their intervals are
-    pairwise disjoint, they hold m_c distinct eigenvalues of T_2N, none above
-    theta_(w-1) + rho, rho = max r_k. If dstebz puts T_2N's eigenvalue of index
-    m_c above that, those are its lowest m_c, in order. Over both chains they
-    are then the lowest w levels of H_2N, one within r_k of each theta_k, so
-    the sorted ones lie within rho of the sorted thetas, level by level.
-
-    The scan compares eigenvalue-only LAPACK solves, each taken within
-    n eps S_n of exact on a chain of n rows (S_n >= |T_n|_2, S_N <= S_2N): the
-    p(n) eps |T| bound of a backward stable solver, p(n) = n. The vector
-    solve's theta_k and the scan's value at N then differ by at most
-    2 N eps S_N, and the scan's value at 2N lies within 2 N eps S_2N of the
-    exact level, so each drift the scan computes for k < w is at most
-    rho + 4 N eps S_2N, times 1 + eps for its subtraction. Where that is at
-    most TRUST_TOL, the scan trusts all w levels. dstebz's value gets the same
-    2 N eps S_2N, doubled for the comparison.
-    """
-    params = spectrum.params
-    n = params.n_fock
-    if window > spectrum.dim:
-        return False
-    theta, chains = spectrum.eigenvalues[:window], spectrum.chains[:window]
-    # T_2N's chains, whose first N rows and N - 1 couplings are T_N's
-    d2, c2 = rabi_bands(ModelParams(params.omega, params.Omega, params.g, 2 * n))
-    scale = np.max(np.abs(d2)) + 2 * np.max(np.abs(c2))
-    residual, nsq = np.empty(window), np.empty(window)
-    for chain, rows in enumerate(_chains(2 * n)):
-        mine = chains == chain
-        u = spectrum.eigenvectors.T[np.ix_(np.flatnonzero(mine), rows[:n])]
-        inner = _chain_residuals(d2[rows[:n]], c2[: n - 1], theta[mine], u)
-        residual[mine] = np.hypot(inner, c2[n - 1] * u[:, -1])
-        nsq[mine] = np.einsum("ij,ij->i", u, u)
-    radius = _kato_radii(residual, nsq, theta, scale, n)
-    rho = float(np.max(radius))
-    if (rho + 4 * n * _EPS * scale) * (1 + _EPS) > TRUST_TOL:
-        return False
-    top = theta[-1] + rho + 4 * n * _EPS * scale
-    for chain, rows in enumerate(_chains(2 * n)):
-        mine = chains == chain
-        lo, hi = theta[mine] - radius[mine], theta[mine] + radius[mine]
-        if np.any(lo[1:] <= hi[:-1]) or _bisect(d2[rows], c2, int(np.sum(mine)))[0] <= top:
-            return False
-    return True
 
 
 def _attach_labels(
@@ -444,9 +366,38 @@ def control_norm(n_fock: int) -> float:
 
 
 def trusted_levels(params: ModelParams) -> int:
-    """Levels of H_Rabi at params.g that the convergence scan at [N, 2N] trusts:
-    the reference that `Spectrum.trusts` reproduces."""
-    return convergence_scan(params, [params.n_fock, 2 * params.n_fock]).trust_cutoff
+    """Levels of H_Rabi at params.g that its truncation to params.n_fock
+    photons encloses (`Spectrum.trust_cutoff` of `rabi_spectrum`)."""
+    return rabi_spectrum(params).trust_cutoff
+
+
+def _enclosed_levels(params: ModelParams, theta: np.ndarray) -> int:
+    """The leading levels whose eigenvalue in the untruncated Rabi model at
+    params the ascending eigenvalues theta of H_N enclose within TRUST_TOL
+    omega (none when N < g^2 / (2 omega^2)). Per parity chain J, theta_k
+    bounds lambda_k(J) above (Ritz). Below: the tail rows n >= N have the
+    Gershgorin floor G = omega (N + 1/2) - Omega/2 - |g| (sqrt(N/2) +
+    sqrt((N+1)/2)), their least once N >= g^2 / (2 omega^2), and with c =
+    |g| sqrt(N/2) the inertia of the Schur complement (Haynsworth) gives
+    lambda_k(J) >= min(mu_k, G - c), mu the eigenvalues of J_N with its last
+    diagonal entry lowered by c. Both chains' bounds merge in ascending order,
+    each widened by (N + 8) eps S, S >= |J_N|_2: a LAPACK solve of N rows is
+    taken within N eps S of exact, and 8 eps S covers forming G - c and the
+    radius. A theta below its lower bound is no Ritz value and ends the count.
+    No square is formed, so g^2 cannot overflow, and every term scales with
+    the model: the count is the same at every power-of-two scale."""
+    n, (diag, couplings) = params.n_fock, rabi_bands(params)
+    omega, g = params.omega, abs(params.g)
+    if g > omega * math.sqrt(2 * n):
+        return 0
+    c, top = g * math.sqrt(n / 2), g * math.sqrt((n + 1) / 2)
+    slack = (n + 8) * _EPS * (omega * (n + 0.5) + params.Omega / 2 + 2 * top)
+    diag[-2:] -= c  # photon N - 1, the last row of either chain
+    mu = np.concatenate([eigvalsh_tridiagonal(diag[rows], couplings) for rows in _chains(n)])
+    lower = np.minimum(mu, omega * (n + 0.5) - params.Omega / 2 - top - 2 * c)
+    radius = theta - np.sort(lower) + 2 * slack
+    inside = (radius >= 0) & (radius <= TRUST_TOL * omega)
+    return int(np.argmin(np.append(inside, False)))  # the first level outside
 
 
 def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -467,8 +418,8 @@ def dense_eigh(matrix: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def diagonalize(op: LabeledOperator, params: ModelParams | None = None) -> Spectrum:
     """Dense symmetric eigensolve with labelling and residual certification.
-    With `params`, the convergence scan at [N, 2N] runs only if `trust_cutoff`
-    is read, as for `rabi_spectrum` and `labelled_spectrum`."""
+    With `params`, op is taken as H_Rabi at params, and its trust count is
+    formed from the eigenvalues only if read, as for `rabi_spectrum`."""
     if not op.is_symmetric():
         raise ValueError(f"operator {op.name} is not symmetric")
     w, v = dense_eigh(op.entries, op.name)
@@ -574,7 +525,7 @@ def _solve_chain(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain_eigenpairs(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
     """Certified eigenpairs of H_Rabi at params.g, one solve per chain, with no
-    trust scan: the eigenvalues by solve index (the r-th eigenpair of the chain
+    trust count: the eigenvalues by solve index (the r-th eigenpair of the chain
     whose r-th row is k has index k) and each chain's N x N eigenvectors."""
     diag, couplings = rabi_bands(params)
     w = np.empty(params.dim)
@@ -613,22 +564,18 @@ def _placed(vecs: list[np.ndarray], src: np.ndarray, signs=None, mirror: bool = 
 def _rabi_at(params: ModelParams, w, vecs, src, labels, signs=None, mirror=False) -> Spectrum:
     """H_Rabi at params.g from the chain solves (w, vecs), stably sorted ascending
     in the order of src: item b is eigenpair src[b] as `_placed` forms it,
-    labelled labels[b] unless labels is None. Each level keeps its chain, the
-    one whose row (n, s) = src[b] its solve index names (linear index 2n +
-    slot with slot = (n + chain) % 2), so that a window's trust is decided by
-    `_padded_certificate` and the scan at [N, 2N] runs only where the count
-    is read (see `Spectrum`)."""
+    labelled labels[b] unless labels is None. Its trust is formed from its
+    eigenvalues when read (see `Spectrum`)."""
     order = np.argsort(w[src], kind="stable")
     ranked = src[order]
     v = _placed(vecs, ranked, None if signs is None else signs[order], mirror)
     by_rank = {} if labels is None else dict(enumerate(labels[b] for b in order.tolist()))
-    return Spectrum(params, w[ranked], v, by_rank, [], chains=(ranked - ranked // 2) % 2)
+    return Spectrum(params, w[ranked], v, by_rank, [])
 
 
 def rabi_spectrum(params: ModelParams) -> Spectrum:
     """Unlabelled spectrum of H_Rabi at params.g, ascending, from its two chains.
-    Its trust is decided window by window (`Spectrum.trusts`); the scan at
-    [N, 2N] runs only if `trust_cutoff` is read."""
+    Its trust count (`Spectrum.trust_cutoff`) is formed only if read."""
     return _rabi_at(params, *_chain_eigenpairs(params), np.arange(params.dim), None)
 
 
@@ -747,8 +694,7 @@ def labelled_spectrum(params: ModelParams) -> Spectrum:
     each chain's r-th eigenpair from one solve takes the label of its r-th
     bare level, in the seed order of `track_branches`, and the solver's
     signs; near a tie, labels and signs are carried by continuation. As for
-    `rabi_spectrum`, a window's trust is decided by `Spectrum.trusts`, and the
-    scan at [N, 2N] runs only if `trust_cutoff` is read.
+    `rabi_spectrum`, its trust count is formed only if read.
     """
     energies, _ = rabi_bands(params)
     if params.g == 0:
@@ -784,7 +730,7 @@ def hellmann_feynman_check(
     Omega), |g|). The step scales with the model, as H(c omega, c Omega, c g)
     = c H(omega, Omega, g), so the slopes do not depend on the unit of energy.
     Each stencil point g + d is read off one solve of the two chains at
-    |g + d|, mirrored below 0 (see the module docstring), with no trust scan,
+    |g + d|, mirrored below 0 (see the module docstring), with no trust count,
     and matched by overlap, so g may be any grid point, an end one included.
     At g = 0 the points -h and -2h share the solves of h and 2h.
     """
@@ -842,7 +788,9 @@ class ConvergenceReport:
 def convergence_scan(
     params: ModelParams, sizes, tol: float = TRUST_TOL
 ) -> ConvergenceReport:
-    """Galerkin trust certification: eigenvalue drift across truncation sizes."""
+    """Eigenvalue drift across truncation sizes, the `convergence` command's
+    report: its trust_cutoff counts the leading levels whose drift is at most
+    the absolute `tol`. Spectra take their trust from `_enclosed_levels`."""
     sizes = [int(n) for n in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")

@@ -72,8 +72,9 @@ def test_small_positive_threshold_runs(tmp_path, monkeypatch):
 
 
 def test_library_default_window_is_cut_to_trusted_levels(tmp_path, monkeypatch):
-    # N//4 = 4 levels, but the scan trusts only 2 at g = 2
-    p = ModelParams(1.0, 1.05, 2.0, 16)
+    # N//4 = 4 levels, but only 2 are trusted at g = 1.8 (none at g = 2)
+    assert labelled_spectrum(ModelParams(1.0, 1.05, 2.0, 16)).trust_cutoff == 0
+    p = ModelParams(1.0, 1.05, 1.8, 16)
     spectrum = labelled_spectrum(p)
     assert spectrum.trust_cutoff == 2
     source, target = spectrum.labels[0], spectrum.labels[1]

@@ -1,5 +1,6 @@
 """One residual kernel (`_chain_residuals`) and one Kato radius (`_kato_radii`)
-serve both chain certificates, and a spectrum reads its trust count once."""
+serve the chain certificate and hold for padded vectors too, and a spectrum
+forms its trust count once."""
 
 import math
 
@@ -37,6 +38,14 @@ def scaled(n_fock, Omega, g, k) -> ModelParams:
     # powers of two scale every energy exactly
     s = 2.0**k
     return ModelParams(s, Omega * s, g * s, n_fock)
+
+
+def chain_of(spec) -> np.ndarray:
+    """The parity chain of each level of an H_Rabi spectrum (0 or 1, as
+    `_chains` numbers them): the one whose rows hold its eigenvector."""
+    rows = spectral._chains(spec.params.n_fock)
+    weight = [np.einsum("ij,ij->j", spec.eigenvectors[r], spec.eigenvectors[r]) for r in rows]
+    return np.argmax(weight, axis=0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -77,14 +86,14 @@ def test_chain_solve_radii_hold_an_eigenvalue(n_fock, Omega, g, k, first, pair, 
     k=st.integers(-40, 30),
 )
 def test_padded_radii_hold_an_eigenvalue_of_the_2n_chain(n_fock, Omega, g, k):
-    """Every level's vector of H_N, padded with zeros into the chain of H_2N as
-    `_padded_certificate` pads it: its top levels carry a large padded entry."""
+    """Every level's vector of H_N, padded with zeros into the chain of H_2N:
+    its top levels carry a large padded entry."""
     p = scaled(n_fock, Omega, g, k)
     spec = spectral.rabi_spectrum(p)
     d2, c2 = rabi_bands(scaled(2 * n_fock, Omega, g, k))
     scale = float(np.max(np.abs(d2)) + 2 * np.max(np.abs(c2)))
     for chain, rows in enumerate(spectral._chains(2 * n_fock)):
-        mine = np.flatnonzero(spec.chains == chain)
+        mine = np.flatnonzero(chain_of(spec) == chain)
         theta = spec.eigenvalues[mine]
         u = spec.eigenvectors.T[np.ix_(mine, rows[:n_fock])]
         inner = spectral._chain_residuals(d2[rows[:n_fock]], c2[: n_fock - 1], theta, u)
@@ -107,12 +116,12 @@ def test_chain_residuals_equal_dense_residuals(n, m):
 
 
 def test_chain_residuals_of_a_spectrum_window():
-    # the certificate's layout: rows gathered from a spectrum's eigenvectors
+    # rows gathered from a spectrum's eigenvectors, one chain's
     n = 40
     spec = spectral.rabi_spectrum(ModelParams(1.0, 1.05, 0.7, n))
     d2, c2 = rabi_bands(ModelParams(1.0, 1.05, 0.7, 2 * n))
     rows = spectral._chains(2 * n)[0]
-    mine = np.flatnonzero(spec.chains == 0)
+    mine = np.flatnonzero(chain_of(spec) == 0)
     u = spec.eigenvectors.T[np.ix_(mine, rows[:n])]
     w = spec.eigenvalues[mine] - 100.0  # residuals far above their rounding
     expect = np.linalg.norm(u @ dense(d2[rows[:n]], c2[: n - 1]) - w[:, None] * u, axis=1)
@@ -122,20 +131,20 @@ def test_chain_residuals_of_a_spectrum_window():
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Calls of the convergence scan and the padded certificate from here on."""
-    calls = {"scan": 0, "certificate": 0}
-    real_scan, real_certificate = spectral.convergence_scan, spectral._padded_certificate
+    """Calls of the convergence scan and of the enclosure count from here on."""
+    calls = {"scan": 0, "enclosure": 0}
+    real_scan, real_enclosure = spectral.convergence_scan, spectral._enclosed_levels
 
     def scan(*args, **kwargs):
         calls["scan"] += 1
         return real_scan(*args, **kwargs)
 
-    def certificate(*args):
-        calls["certificate"] += 1
-        return real_certificate(*args)
+    def enclosure(*args):
+        calls["enclosure"] += 1
+        return real_enclosure(*args)
 
     monkeypatch.setattr(spectral, "convergence_scan", scan)
-    monkeypatch.setattr(spectral, "_padded_certificate", certificate)
+    monkeypatch.setattr(spectral, "_enclosed_levels", enclosure)
     return calls
 
 
@@ -145,12 +154,12 @@ P = ModelParams(1.0, 1.05, 0.2, 32)
 def test_a_given_count_runs_neither(counters):
     spec = spectral.rabi_spectrum(P)
     given_count = spectral.Spectrum(
-        P, spec.eigenvalues, spec.eigenvectors, {}, [], trust_cutoff=5, chains=spec.chains
+        P, spec.eigenvalues, spec.eigenvectors, {}, [], trust_cutoff=5
     )
     assert given_count.trust_cutoff == 5
     assert given_count.trusts(5) and not given_count.trusts(6)
     assert given_count.trusted_window(12) == 5
-    assert counters == {"scan": 0, "certificate": 0}
+    assert counters == {"scan": 0, "enclosure": 0}
 
 
 def test_an_assigned_count_runs_neither(counters):
@@ -158,15 +167,18 @@ def test_an_assigned_count_runs_neither(counters):
     spec.trust_cutoff = 7
     assert spec.trust_cutoff == 7
     assert spec.trusts(7) and not spec.trusts(8)
-    assert counters == {"scan": 0, "certificate": 0}
+    assert counters == {"scan": 0, "enclosure": 0}
 
 
 def test_an_unknown_count_scans_once_and_then_decides_alone(counters):
+    # the enclosure forms the count once, when first read; no scan runs
     spec = spectral.rabi_spectrum(P)
-    assert spec.trusts(4)  # the certificate decides
-    assert counters == {"scan": 0, "certificate": 1}
+    assert counters == {"scan": 0, "enclosure": 0}
+    assert spec.trusts(4)
+    assert counters == {"scan": 0, "enclosure": 1}
     count = spec.trust_cutoff
+    assert count == 50
     assert [spec.trust_cutoff for _ in range(5)] == [count] * 5
     for window in (1, 4, 12, count, count + 1, 2 * P.n_fock):
         assert spec.trusts(window) == (window <= count)
-    assert counters == {"scan": 1, "certificate": 1}
+    assert counters == {"scan": 0, "enclosure": 1}

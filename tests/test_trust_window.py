@@ -1,6 +1,6 @@
-"""CLI refusals: windows beyond the levels the convergence scan trusts, an empty
-output directory, a fit that stops short of E4 and a g range wider than the
-largest float."""
+"""CLI refusals: windows beyond the levels whose untruncated eigenvalues the
+truncation encloses, an empty output directory, a fit that stops short of E4
+and a g range wider than the largest float."""
 
 import json
 import os
@@ -24,13 +24,20 @@ def run(tmp_path, command: str, cfg: dict) -> int:
     return main([command, "--config", str(path)])
 
 
+# the enclosure's count at each config of the test below, whose `trust` is the
+# count of the convergence scan at [N, 2N] that it replaced as trust's source
+ENCLOSED = {(16, 2.0): 0, (8, 0.2): 6, (3, 0.2): 0, (64, 0.2): 112}
+
+
 @pytest.mark.parametrize(
     "n_fock, g, trust",
     [(16, 2.0, 2), (8, 0.2, 7), (3, 0.2, 0), (64, 0.2, 113)],
 )
 def test_trusted_levels_is_the_scan_at_n_and_2n(n_fock, g, trust):
+    """`trusted_levels` is the enclosure's count; the scan at [N, 2N] keeps its
+    own count, which the `convergence` command reports."""
     p = ModelParams(1.0, 1.05, g, n_fock)
-    assert trusted_levels(p) == trust
+    assert trusted_levels(p) == ENCLOSED[n_fock, g]
     assert convergence_scan(p, [n_fock, 2 * n_fock]).trust_cutoff == trust
 
 
@@ -87,14 +94,16 @@ def test_window_beyond_trust_refused(tmp_path, monkeypatch, capsys, command, cfg
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, command, cfg) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert f"'{key}'" in err and "convergence scan trusts" in err
+    assert f"'{key}'" in err and "the truncation encloses" in err
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-@pytest.mark.parametrize("window, code", [(None, EXIT_OK), (7, EXIT_OK), (10, EXIT_INPUT)])
+@pytest.mark.parametrize(
+    "window, code", [(None, EXIT_OK), (6, EXIT_OK), (7, EXIT_INPUT), (10, EXIT_INPUT)]
+)
 def test_transfer_runs_one_trust_scan(tmp_path, monkeypatch, capsys, window, code):
     # the window is checked against the spectrum the transfer uses, whose
-    # trust cutoff (7 levels here) comes from the only scan
+    # trust cutoff (6 levels here) is its enclosure count: no scan runs
     calls = []
     real_scan = spectral.convergence_scan
 
@@ -106,7 +115,7 @@ def test_transfer_runs_one_trust_scan(tmp_path, monkeypatch, capsys, window, cod
     monkeypatch.chdir(tmp_path)
     transfer = TRANSFER if window is None else {**TRANSFER, "window": window}
     assert run(tmp_path, "transfer", {"model": model(8, 0.2), "transfer": transfer}) == code
-    assert len(calls) == 1
+    assert calls == []
     if code == EXIT_INPUT:
         assert "'transfer.window'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
@@ -114,8 +123,10 @@ def test_transfer_runs_one_trust_scan(tmp_path, monkeypatch, capsys, window, cod
 
 def test_default_window_cut_to_trust(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # the default n_fock // 4 = 4 levels, of which the scan trusts 2
-    assert run(tmp_path, "chain", {"model": model(16, 2.0)}) == EXIT_OK
+    # the default n_fock // 4 = 4 levels, of which 2 are trusted at g = 1.8
+    # (none at g = 2)
+    assert spectral.labelled_spectrum(ModelParams(1.0, 1.05, 1.8, 16)).trust_cutoff == 2
+    assert run(tmp_path, "chain", {"model": model(16, 1.8)}) == EXIT_OK
     graph = json.loads((tmp_path / "chain.json").read_text())["graph"]
     assert len(graph["nodes"]) == 2
 

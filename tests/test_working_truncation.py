@@ -110,7 +110,7 @@ def test_working_transfer_equals_the_direct_one(
         assert np.all(rows[edge_rows(report, k)] <= mine["drift"])
 
 
-@pytest.mark.parametrize("n_fock", [5, 8, 16, 24, 32, 33, 48, 63])
+@pytest.mark.parametrize("n_fock", [6, 8, 16, 24, 32, 33, 48, 63])
 def test_small_truncations_search_on_themselves(n_fock):
     params = ModelParams(1.0, 1.05, 0.2, n_fock)
     report = transfer_experiment(params, SOURCE, BasisIndex(1, -1), 0.02, window=2)
@@ -180,12 +180,10 @@ def test_uncertified_candidates_fall_back_to_n_fock(monkeypatch):
 
 
 def test_untrusted_path_levels_skip_the_truncation(monkeypatch):
-    # at g = 2, n_fock 16 trusts levels 0 and 1 only, so a path through level
-    # 2 or 3 is never searched on 16 (nor checked on 32); the path [0, 1] is,
-    # and its check on 32 then moves it too far, so all three fall back to 64
-    params = ModelParams(1.0, 1.05, 2.0, 64)
-    spec = labelled_spectrum(params)
-    assert labelled_spectrum(ModelParams(1.0, 1.05, 2.0, 16)).trust_cutoff == 2
+    # n_fock 16 trusts no level at g = 2, and levels 0 and 1 only at g = 1.8.
+    # A path through an untrusted level is never searched on 16 (nor checked
+    # on 32); at g = 1.8 the path [0, 1] is, and its check on 32 then moves it
+    # too far, so every transfer falls back to 64
     sweep, searched = control._sweep_path, []
 
     def recording(spectrum, *args):
@@ -193,18 +191,22 @@ def test_untrusted_path_levels_skip_the_truncation(monkeypatch):
         return sweep(spectrum, *args)
 
     monkeypatch.setattr(control, "_sweep_path", recording)
-    for target, sizes in [(1, [16, 32, 64]), (2, [64]), (3, [64])]:
-        searched.clear()
-        report = transfer_experiment(
-            params, spec.labels[0], spec.labels[target], 0.02, max_periods=300, spectrum=spec
-        )
-        assert searched == sizes
-        assert report.working_n_fock == 64
+    for g, count, first in [(2.0, 0, [64]), (1.8, 2, [16, 32, 64])]:
+        params = ModelParams(1.0, 1.05, g, 64)
+        spec = labelled_spectrum(params)
+        assert labelled_spectrum(ModelParams(1.0, 1.05, g, 16)).trust_cutoff == count
+        for target, sizes in [(1, first), (2, [64]), (3, [64])]:
+            searched.clear()
+            report = transfer_experiment(
+                params, spec.labels[0], spec.labels[target], 0.02, max_periods=300, spectrum=spec
+            )
+            assert searched == sizes
+            assert report.working_n_fock == 64
 
 
 def test_leak_outside_trust_is_reported():
     # a strong drive on a small truncation: the design reports 0.829, while
-    # 12% of the final state sits outside the 3 levels the scan trusts
+    # 12% of the final state sits outside the 3 trusted levels
     params = ModelParams(1.0, 1.05, 0.5, 8)
     target, delta = BasisIndex(1, -1), 0.3
     report = transfer_experiment(params, SOURCE, target, delta)

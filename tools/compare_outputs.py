@@ -65,8 +65,9 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # and whose stencil, of a step that scales with omega, meets the slopes
 # (exit 0). Then the transfer search in each regime of its block size B
 # (periods per giant step): at n_fock 16 (2N = 32) B = 1 at max_periods 3 and
-# B = 8 at 100, B capped at 8 by 2N = 10 at n_fock 5 (at n_fock 4 the trusted
-# window of one level holds no path), and the n_fock 8 ladder at 10**5 periods
+# B = 8 at 100, B capped at 8 by 2N = 10 at n_fock 5 (which now trusts one
+# level only, so its window of 2 exits 2 naming transfer.window), and the
+# n_fock 8 ladder at 10**5 periods
 # (B = 16). Then branches over a range symmetric about 0 whose steps bisect
 # near Omega = 5 omega, both signs of g sharing each mirrored chain solve, and
 # branches over an asymmetric range, whose grid stays linspace's. Then a
@@ -82,22 +83,27 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # fixed step 1e-3 missed a slope by 1.44 (exit 0). Last, cross-spin transfers
 # on either side of the working-truncation boundary: n_fock 32 and 63 search
 # on themselves, and 64, the first n_fock with 4 * 16 <= n_fock, searches on
-# 16 and checks it on 32. Then window checks that the padded-residual
-# certificate declines, so that the convergence scan decides them: a chain at
-# omega = 2**20 (Omega and g scaled), where the bound on the scan's rounding
-# exceeds its tol; a chain at n_fock 16, g = 2, whose scan trusts 2 levels, so
-# the default window of 4 is cut to them; and a resonance window of 60 at
-# n_fock 32, beyond the 52 levels trusted there (exit 2 naming them). Then a
+# 16 and checks it on 32. Then window checks at the edges of the trusted
+# levels, those that the truncation encloses within 1e-8 omega of the
+# untruncated model's: a chain at omega = 2**20 (Omega and g scaled), which
+# trusts the 112 levels that omega = 1 does; a chain at n_fock 16, g = 2,
+# which trusts no level, so the default window of 4 is cut to 0 and refused
+# (exit 2 naming resonance.window); and a resonance window of 60 at n_fock
+# 32, beyond the 50 levels trusted there (exit 2 naming them). Then a
 # cross-spin transfer at g = 1.5, n_fock 128 that the check at 2M refuses on
 # M = 16, so it keeps a larger working truncation: it searches 16, 32 and 64
 # and keeps 32 (2443 segments, exit 0). Then a chain at n_fock 1024 over its
 # default window of 256 levels, the largest op: each chain solve forms its
-# residuals in 16 blocks, and the padded-residual certificate covers 256
-# levels (256 nodes, 2219 edges, connected, exit 0). Then a transfer from
+# residuals in 16 blocks, and the enclosure trusts 2012 levels (256 nodes,
+# 2219 edges, connected, exit 0). Then a transfer from
 # (0, -1) to itself at n_fock 16, which keeps no segment, so its total_time is
 # written as 0 and populations.csv holds its header alone; and a spectrum at
 # omega = 2**-500 (Omega and g scaled, n_fock 32), whose residual norms are
-# formed on the chains scaled up by a power of two (exit 0).
+# formed on the chains scaled up by a power of two (exit 0). Last, the
+# resonance window of 60 at omega = 2**-40 (Omega, g and the sample scaled,
+# n_fock 32), which trusts the 50 levels that omega = 1 does (exit 2 naming
+# resonance.window); an absolute tol of 1e-8 on the [N, 2N] drifts trusted
+# all 64 there.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -141,6 +147,13 @@ REFERENCE = [
     workloads.Op("chain", _model(1.05, 0.2, 1024)),
     _transfer(_model(1.05, 0.2, 16), {"n": 0, "s": -1}),
     workloads.Op("spectrum", _model(1.05 * 2**-500, 0.2 * 2**-500, 32, omega=2.0**-500)),
+    workloads.Op(
+        "resonance",
+        {
+            **_model(1.05 * 2**-40, 0.2 * 2**-40, 32, omega=2.0**-40),
+            "resonance": {"window": 60, "g_samples": [0.2 * 2**-40]},
+        },
+    ),
 ]
 SETS = (*workloads.NAMES, "reference")
 
