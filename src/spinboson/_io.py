@@ -55,15 +55,18 @@ def _quote(cell: str) -> str:
 
 def _column(cells: tuple) -> list[str]:
     """One column's cells as text. A column of floats is checked with one
-    `np.isfinite` and formatted from `.tolist()`, a column of integers as
-    they are; any other column goes cell by cell, str cells through `_quote`."""
+    `np.isfinite`, and each distinct value (by its bits, so -0.0 and 0.0
+    stay apart) is formatted once; a column of integers goes as it is, any
+    other column cell by cell, str cells through `_quote`."""
     kinds = set(map(type, cells))
     if all(issubclass(k, (float, np.floating)) for k in kinds):
         x = np.array(cells, dtype=float)
         finite = np.isfinite(x)
         if not finite.all():
             fmt(x[~finite][0])  # refuses it
-        return list(map("{:.17g}".format, x.tolist()))
+        bits, at = np.unique(x.view(np.int64), return_inverse=True)
+        text = np.array(list(map("{:.17g}".format, bits.view(float).tolist())), dtype=object)
+        return text[at].tolist()
     if all(k is int or issubclass(k, np.integer) for k in kinds):
         return list(map(str, cells))
     return [_quote(c) if isinstance(c, str) else fmt(c) for c in cells]

@@ -45,7 +45,7 @@ from .resonance import (
     certify_chain,
     coupling_graph,
 )
-from .spectral import Spectrum, default_window, dense_eigh, labelled_spectrum
+from .spectral import Spectrum, default_window, dense_eigh, galerkin_sizes, labelled_spectrum
 
 __all__ = [
     "Pulse",
@@ -67,10 +67,9 @@ DEFAULT_THRESHOLD = 0.95
 # searches on a working truncation (`_working_transfer`), so 2N >= 1024,
 # where 4 is low, is off the default path unless no truncation certifies it.
 GEMM_SPEEDUP = 4
-# The smallest working truncation a transfer searches on, and how far (in
-# fidelity and population, both dimensionless) the transfer on twice that
-# truncation may move and still certify it; see `_working_transfer`.
-GALERKIN_FLOOR = 16
+# How far (in fidelity and population, both dimensionless) the transfer on
+# twice a working truncation may move and still certify it; see
+# `_working_transfer`.
 GALERKIN_TOL = 1e-9
 # How far a search's fidelities and populations may sit from the exact ones
 # of its truncation after n half-periods: FLOOR + PER_SEGMENT * n, the bound
@@ -593,20 +592,18 @@ def transfer_experiment(
 
 def _working_sizes(n_fock: int, path: list[int]):
     """The working truncations a transfer along `path` at `n_fock` may search
-    on, smallest first: powers of two M >= GALERKIN_FLOOR with 4 M <= n_fock.
-    The dense solves and squarings of the searches at M and 2M take 9 M^3
-    against n_fock^3 for one at n_fock, but each also carries a few ms that do
-    not shrink with the dimension: its labelled spectrum and trust count (the
-    check run at 2M renders no pulse and no population rows). Timed on the
-    benchmark's transfers, the two searches at M = 16 took 5.8-5.9 ms against
-    4.9 ms for one at n_fock 48, 6.0-6.1 ms at 56 and 8.1 ms at 64, so they
-    win from n_fock ~56 on (shared 2-vCPU x86-64, OpenBLAS on one thread),
-    hence 4 M: every n_fock <= 63 searches on itself. A path of no edge
+    on, smallest first: `galerkin_sizes`, powers of two M >= GALERKIN_FLOOR
+    with 4 M <= n_fock. The dense solves and squarings of the searches at M
+    and 2M take 9 M^3 against n_fock^3 for one at n_fock, but each also
+    carries a few ms that do not shrink with the dimension: its labelled
+    spectrum and trust count (the check run at 2M renders no pulse and no
+    population rows). Timed on the benchmark's transfers, the two searches at
+    M = 16 took 5.8-5.9 ms against 4.9 ms for one at n_fock 48, 6.0-6.1 ms at
+    56 and 8.1 ms at 64, so they win from n_fock ~56 on (shared 2-vCPU
+    x86-64, OpenBLAS on one thread), hence 4 M: every n_fock <= 63 searches
+    on itself. A path of no edge
     searches nothing, so it stays on n_fock too."""
-    m = GALERKIN_FLOOR
-    while len(path) > 1 and 4 * m <= n_fock:
-        yield m
-        m *= 2
+    return galerkin_sizes(n_fock) if len(path) > 1 else iter(())
 
 
 def _working_transfer(spectrum, path, delta, max_periods, threshold):

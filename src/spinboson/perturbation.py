@@ -23,7 +23,13 @@ from .fockmodel import (
     degenerate_basis,
     tied,
 )
-from .spectral import BranchFamily, stencil_slope, track_branches
+from .spectral import (
+    BranchFamily,
+    GridRefinementError,
+    galerkin_sizes,
+    stencil_slope,
+    track_branches,
+)
 
 __all__ = [
     "PerturbationTable",
@@ -219,6 +225,7 @@ class PerturbationTable:
     e4_fit: float
     coupling_slope: float
     fit_window: tuple[float, float, int]
+    fit_n_fock: int  # the truncation the branches were fitted on
 
     def to_dict(self) -> dict:
         return {
@@ -236,7 +243,26 @@ class PerturbationTable:
             "e4_fit": self.e4_fit,
             "coupling_slope": self.coupling_slope,
             "fit_window": list(self.fit_window),
+            "fit_n_fock": self.fit_n_fock,
         }
+
+
+def _fitted_family(
+    params_base: ModelParams, grid: np.ndarray, levels: list[BasisIndex]
+) -> BranchFamily:
+    """The branches over `grid` on the smallest working truncation M of
+    `galerkin_sizes` whose trust enclosure holds every level of `levels` at
+    every grid point (`BranchFamily.trusts`), else on n_fock. An M whose
+    continuation raises GridRefinementError is passed over too."""
+    omega, Omega, g = params_base.omega, params_base.Omega, params_base.g
+    for m in galerkin_sizes(params_base.n_fock):
+        try:
+            family = track_branches(ModelParams(omega, Omega, g, m), grid)
+        except GridRefinementError:
+            continue
+        if family.trusts(levels):
+            return family
+    return track_branches(params_base, grid)
 
 
 def build_table(
@@ -248,8 +274,11 @@ def build_table(
 ) -> list[PerturbationTable]:
     """Closed forms next to branch fits for the requested levels.
 
-    E1 and E3 are stored as literal zeros; the fitted odd coefficients are
-    what the numerics produce and stay near zero by parity.
+    The branches are tracked on the smallest working truncation that encloses
+    every requested level within TRUST_TOL omega of the untruncated model's
+    at every grid point, else on params_base.n_fock (`_fitted_family`); each
+    row names it. E1 and E3 are stored as literal zeros; the fitted odd
+    coefficients are what the numerics produce and stay near zero by parity.
     """
     omega, Omega = params_base.omega, params_base.Omega
     _require_nondegenerate(omega, Omega)
@@ -260,7 +289,7 @@ def build_table(
     # m steps either side of a middle point that is 0.0 exactly, as the
     # labelling's anchor needs; linspace's need not be
     m = n_points // 2
-    branch = track_branches(params_base, window * np.arange(-m, m + 1) / m)
+    branch = _fitted_family(params_base, window * np.arange(-m, m + 1) / m, levels)
     rows = []
     for lev in levels:
         fit = e_series_fit(branch, lev, degree)
@@ -280,15 +309,16 @@ def build_table(
                 e4_fit=fit.coefficient(4),
                 coupling_slope=coupling_slope_closed(lev, partner, omega, Omega),
                 fit_window=fit.window,
+                fit_n_fock=branch.params_base.n_fock,
             )
         )
     return rows
 
 
 def table_to_csv(rows: list[PerturbationTable], path: str | os.PathLike) -> None:
-    """Every column of `to_dict` except the fit window."""
+    """Every column of `to_dict` except the fit window and truncation."""
     dicts = [row.to_dict() for row in rows]
-    keys = [k for k in dicts[0] if k != "fit_window"]
+    keys = [k for k in dicts[0] if k not in ("fit_window", "fit_n_fock")]
     write_csv(path, keys, ([d[k] for k in keys] for d in dicts))
 
 

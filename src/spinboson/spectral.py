@@ -79,6 +79,7 @@ __all__ = [
     "stencil_slope",
     "convergence_scan",
     "ConvergenceReport",
+    "galerkin_sizes",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -92,6 +93,7 @@ SLOPE_TOL = 1e-6  # Hellmann-Feynman slope discrepancy that still counts as ok
 # pay numpy's per-call cost (64 was within 5% of the fastest block at N = 64-1024)
 _RESIDUAL_BLOCK = 64
 _EPS = np.finfo(float).eps  # the machine epsilon 2u, u the unit roundoff
+GALERKIN_FLOOR = 16  # the smallest working truncation (`galerkin_sizes`)
 
 
 class SolverError(RuntimeError):
@@ -291,8 +293,10 @@ def _kato_radii(residual, nsq, w, scale: float, n: int) -> np.ndarray:
     of the slack's 8u cover the interval ends and the slack's own rounding.
     Sums of n squares are exact to 1 +- gamma_n; the square roots, the
     quotient and the last sum and product add a few u: all within the factor
-    1 + (n + 8) eps."""
-    slack = 4 * _EPS * (scale + np.max(np.abs(w)))
+    1 + (n + 8) eps. The slack is the sum of its two terms, each times 4 eps
+    exactly (a power of two), so it rounds once as the sum in brackets would,
+    and cannot overflow where scale + max|w| would."""
+    slack = 4 * _EPS * scale + 4 * _EPS * np.max(np.abs(w))
     return (residual / np.sqrt(nsq) + slack) * (1 + (n + 8) * _EPS)
 
 
@@ -369,6 +373,17 @@ def trusted_levels(params: ModelParams) -> int:
     """Levels of H_Rabi at params.g that its truncation to params.n_fock
     photons encloses (`Spectrum.trust_cutoff` of `rabi_spectrum`)."""
     return rabi_spectrum(params).trust_cutoff
+
+
+def galerkin_sizes(n_fock: int):
+    """The working Galerkin truncations a computation at n_fock may run on in
+    its place, smallest first: powers of two M >= GALERKIN_FLOOR with
+    4 M <= n_fock. The caller keeps the first M whose trust enclosure holds
+    every level it reads; see `control._working_sizes` for why 4 M."""
+    m = GALERKIN_FLOOR
+    while 4 * m <= n_fock:
+        yield m
+        m *= 2
 
 
 def _enclosed_levels(params: ModelParams, theta: np.ndarray) -> int:
@@ -460,6 +475,26 @@ class BranchFamily:
 
     def branch_index(self, label: BasisIndex) -> int:
         return self.labels.index(label)
+
+    def trust_cutoff(self, gi: int) -> int:
+        """Leading levels at grid point gi that the truncation encloses within
+        TRUST_TOL omega of the untruncated model's: `_enclosed_levels` of the
+        branch energies there, which are the truncation's eigenvalues."""
+        params = self.params_base.with_g(float(self.g_grid[gi]))
+        return _enclosed_levels(params, np.sort(self.energies[:, gi]))
+
+    def trusts(self, labels: list[BasisIndex]) -> bool:
+        """Whether every level of `labels` is a branch that ranks below
+        `trust_cutoff` at every grid point; a level tied with others takes the
+        last of their ranks."""
+        if not set(labels) <= set(self.labels):
+            return False
+        branches = [self.branch_index(label) for label in labels]
+        for gi, energies in enumerate(self.energies.T):
+            ranks = np.searchsorted(np.sort(energies), energies[branches], side="right")
+            if np.max(ranks, initial=0) > self.trust_cutoff(gi):
+                return False
+        return True
 
     def grid_index(self, g: float) -> int:
         """The index of grid point g, matched to 1e-14 of the grid's largest |g|."""

@@ -1,5 +1,5 @@
-"""`write_csv` formats a column at a time and writes the bytes that
-`csv.writer` with `fmt` per numeric cell writes."""
+"""`write_csv` formats a column at a time, each distinct float once, and
+writes the bytes that `csv.writer` with `fmt` per numeric cell writes."""
 
 import csv
 import io
@@ -25,7 +25,12 @@ def reference(header, rows) -> str:
     return buf.getvalue()
 
 
-floats = st.floats(allow_nan=False, allow_infinity=False)
+# a small pool next to arbitrary floats, so columns repeat values, -0.0 and
+# 0.0 among them, which the writer formats once per distinct bit pattern
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.1, -2.5, 5e-324, -5e-324]),
+)
 int64s = st.integers(-(2**63), 2**63 - 1).map(np.int64)
 texts = st.text(alphabet=st.sampled_from('a1 ,"\n\r-.'), max_size=5)
 cells = {
@@ -41,7 +46,7 @@ cells["mixed"] = st.one_of(*cells.values())
 @st.composite
 def tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=4))
-    n_rows = draw(st.integers(0, 6))
+    n_rows = draw(st.integers(0, 12))
     columns = [draw(st.lists(cells[k], min_size=n_rows, max_size=n_rows)) for k in kinds]
     header = draw(st.lists(texts, min_size=len(kinds), max_size=len(kinds)))
     return header, [list(row) for row in zip(*columns)]
@@ -53,6 +58,7 @@ def tables(draw):
 @example(table=([""], [[""], [1.5], [np.float64(-0.0)]]))
 @example(table=(["g", "n"], [[0.1, 2**70], [np.float64(1e308), np.int64(-3)]]))
 @example(table=(["t", "p"], [[True, 1.0], [False, np.float32(0.1)]]))
+@example(table=(["z"], [[0.0], [-0.0], [np.float64(-0.0)], [0.0], [0.1], [0.1]]))
 def test_bytes_equal_csv_writer(tmp_path_factory, table):
     header, rows = table
     path = tmp_path_factory.getbasetemp() / "table.csv"

@@ -3,6 +3,7 @@ serve the chain certificate and hold for padded vectors too, and a spectrum
 forms its trust count once."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,3 +183,28 @@ def test_an_unknown_count_scans_once_and_then_decides_alone(counters):
     for window in (1, 4, 12, count, count + 1, 2 * P.n_fock):
         assert spec.trusts(window) == (window <= count)
     assert counters == {"scan": 0, "enclosure": 1}
+
+
+def test_slack_near_the_largest_float_stays_finite(monkeypatch):
+    """At omega = 1.5e307 the chain norm S and max|w| each fit in a float but
+    their sum does not: the slack is formed term by term, so nothing
+    overflows, the enclosure bound is finite and no Gram fallback runs."""
+    bounds = []
+    real_bound = spectral._enclosure_bound
+
+    def bound(*args):
+        bounds.append(real_bound(*args))
+        return bounds[-1]
+
+    def gram(v):
+        raise AssertionError("the Gram fallback ran")
+
+    monkeypatch.setattr(spectral, "_enclosure_bound", bound)
+    monkeypatch.setattr(spectral, "_check_gram", gram)
+    omega = 1.5e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = spectral.rabi_spectrum(ModelParams(omega, 1.05 * omega, 0.2 * omega, 8))
+    assert len(bounds) == 2
+    assert all(math.isfinite(b) and b <= spectral.RESIDUAL_TOL for b in bounds)
+    assert np.all(np.isfinite(spec.eigenvalues))

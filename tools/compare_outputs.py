@@ -103,7 +103,11 @@ def _transfer(model: dict, target: dict, **keys) -> workloads.Op:
 # resonance window of 60 at omega = 2**-40 (Omega, g and the sample scaled,
 # n_fock 32), which trusts the 50 levels that omega = 1 does (exit 2 naming
 # resonance.window); an absolute tol of 1e-8 on the [N, 2N] drifts trusted
-# all 64 there.
+# all 64 there. Then the perturbation table on either side of the first
+# working truncation: n_fock 48 (4 * 16 > 48) fits on itself, so its fit
+# columns stay bit for bit, and 64 fits on 16 photons, whose enclosure holds
+# the 12 fitted levels at every grid point; and at Omega = 3.5 omega, n_fock
+# 64, between the odd resonances at 3 and 5 omega, which also fits on 16.
 REFERENCE = [
     *(workloads.Op("spectrum", _model(Omega, 0.0, 33)) for Omega in (1.0, 1.1, 3.0)),
     workloads.Op("spectrum", _model(1.0, 0.0, 200)),
@@ -154,6 +158,8 @@ REFERENCE = [
             "resonance": {"window": 60, "g_samples": [0.2 * 2**-40]},
         },
     ),
+    *(workloads.Op("perturb", _model(1.05, 0.2, n)) for n in (48, 64)),
+    workloads.Op("perturb", _model(3.5, 0.5, 64)),
 ]
 SETS = (*workloads.NAMES, "reference")
 
